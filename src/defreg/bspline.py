@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,50 +128,57 @@ def _check_coverage(grid: ControlGrid, width: int, height: int):
         )
 
 
-def _axis_weights(coords: np.ndarray, spacing: float, n: int):
-    """4-tap basis weights and (clamped) array indices for 1D coordinates.
+def _basis_matrix(coords, spacing: float, n: int) -> np.ndarray:
+    """Dense (len(coords), n) matrix of cubic B-spline weights at 1D coordinates.
 
-    Tap indices exceeding the lattice replicate the nearest edge coefficient,
+    Row i holds the 4 taps of coordinate i at their array columns (lattice
+    index + 1). Taps beyond the lattice fold onto the nearest edge column,
     which preserves partition of unity for evaluation outside the covered box.
     """
     t = np.asarray(coords, dtype=np.float64) / spacing
     i0 = np.floor(t).astype(np.intp)
     f = t - i0
-    idx = i0[:, None] + np.arange(4)[None, :]  # array index = lattice index + 1
-    w = np.stack([cubic_bspline(f + 1.0), cubic_bspline(f), cubic_bspline(f - 1.0), cubic_bspline(f - 2.0)], axis=1)
-    idx = np.clip(idx, 0, n - 1)
-    return idx, w
+    rows = np.arange(t.size)
+    out = np.zeros((t.size, n))
+    for a in range(4):
+        # one tap per row, so no index repeats within this assignment
+        out[rows, np.clip(i0 + a, 0, n - 1)] += cubic_bspline(f - (a - 1.0))
+    return out
+
+
+@lru_cache(maxsize=32)
+def _pixel_basis(count: int, spacing: float, n: int) -> np.ndarray:
+    """Read-only basis matrix at pixels 0..count-1; fixed for a pyramid level."""
+    out = _basis_matrix(np.arange(count, dtype=np.float64), spacing, n)
+    out.flags.writeable = False
+    return out
+
+
+def _expand(coeffs: np.ndarray, by: np.ndarray, bx: np.ndarray) -> np.ndarray:
+    """Tensor-product expansion by @ coeffs[..., j] @ bx.T of both components."""
+    return np.stack([by @ coeffs[..., j] @ bx.T for j in range(2)], axis=-1)
 
 
 def densify_at(grid: ControlGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Evaluate the spline on the separable lattice xs x ys; returns (len(ys), len(xs), 2)."""
-    ix, wx = _axis_weights(xs, grid.spacing_px, grid.cols)
-    iy, wy = _axis_weights(ys, grid.spacing_px, grid.rows)
-    # contract columns first: tmp[r, x, c] = sum_b coeffs[r, ix[x,b], c] * wx[x,b]
-    tmp = np.einsum("rxbc,xb->rxc", grid.coeffs[:, ix, :], wx)
-    return np.einsum("yaxc,ya->yxc", tmp[iy, :, :], wy)
+    return _expand(grid.coeffs, _basis_matrix(ys, grid.spacing_px, grid.rows),
+                   _basis_matrix(xs, grid.spacing_px, grid.cols))
 
 
 def densify(grid: ControlGrid, width: int, height: int) -> DisplacementField:
     """Expand the control grid into a dense per-pixel displacement field."""
     _check_coverage(grid, width, height)
-    u = densify_at(grid, np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-    return DisplacementField(u)
+    by = _pixel_basis(height, grid.spacing_px, grid.rows)
+    bx = _pixel_basis(width, grid.spacing_px, grid.cols)
+    return DisplacementField(_expand(grid.coeffs, by, bx))
 
 
 def splat_to_grid(grad_u: np.ndarray, grid: ControlGrid) -> np.ndarray:
     """Transpose of :func:`densify`: scatter a per-pixel cotangent to coefficients."""
     h, w = grad_u.shape[:2]
-    ix, wx = _axis_weights(np.arange(w, dtype=np.float64), grid.spacing_px, grid.cols)
-    iy, wy = _axis_weights(np.arange(h, dtype=np.float64), grid.spacing_px, grid.rows)
-    t1 = np.zeros((grid.rows, w, 2))
-    for a in range(4):
-        np.add.at(t1, iy[:, a], grad_u * wy[:, a, None, None])
-    out_t = np.zeros((grid.cols, grid.rows, 2))
-    t1t = np.ascontiguousarray(t1.transpose(1, 0, 2))
-    for b in range(4):
-        np.add.at(out_t, ix[:, b], t1t * wx[:, b, None, None])
-    return out_t.transpose(1, 0, 2)
+    by = _pixel_basis(h, grid.spacing_px, grid.rows)
+    bx = _pixel_basis(w, grid.spacing_px, grid.cols)
+    return _expand(grad_u, by.T, bx.T)
 
 
 def prolongate(grid: ControlGrid, fine_width: int, fine_height: int,
@@ -218,8 +226,6 @@ def random_smooth_deformation(width: int, height: int, magnitude_px: float,
     rows, cols = grid_shape_for(width, height, spacing_px)
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-magnitude_px, magnitude_px, size=(rows, cols, 2))
-    if magnitude_px == 0:
-        coeffs = np.zeros((rows, cols, 2))
     return ControlGrid(spacing_px, coeffs)
 
 
@@ -227,7 +233,8 @@ def random_smooth_deformation(width: int, height: int, magnitude_px: float,
 # warping
 
 
-def _sample_coords(field: DisplacementField):
+def sample_coords(field: DisplacementField):
+    """Per-pixel sample positions x + u(x) as (px, py)."""
     h, w = field.height, field.width
     xx, yy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     return xx + field.u[..., 0], yy + field.u[..., 1]
@@ -235,7 +242,7 @@ def _sample_coords(field: DisplacementField):
 
 def warp_image(m: Image2D, field: DisplacementField) -> Image2D:
     """Resample the moving image at x + u(x) with bilinear interpolation."""
-    px, py = _sample_coords(field)
+    px, py = sample_coords(field)
     return Image2D(bilinear_sample_many(m.data, px, py), spacing=m.spacing)
 
 
@@ -243,14 +250,14 @@ def warp_onehot(stack: OneHotStack, field: DisplacementField) -> OneHotStack:
     """Warp each channel independently with bilinear interpolation."""
     if stack.width != field.width or stack.height != field.height:
         raise DomainError("one-hot stack and field dimensions differ")
-    px, py = _sample_coords(field)
+    px, py = sample_coords(field)
     warped = np.stack([bilinear_sample_many(ch, px, py) for ch in stack.channels])
     return OneHotStack(warped, spacing=stack.spacing)
 
 
 def warp_labels(lab: LabelMap, field: DisplacementField) -> LabelMap:
     """Nearest-neighbor label warp; evaluation only, never inside the loss."""
-    px, py = _sample_coords(field)
+    px, py = sample_coords(field)
     return LabelMap(nearest_sample_many(lab.labels, px, py), num_classes=lab.num_classes)
 
 

@@ -27,15 +27,13 @@ from .metrics import difference_image, evaluate_pair
 from .phantom import PhantomSpec, augment_pairs, make_pair
 from .solver import RegistrationConfig, ablate, register
 
+_CFG = RegistrationConfig()
 DEFAULTS = {
-    "delta": 1.0,
-    "alpha": 1.0e3,
-    "beta": 5.0e4,
-    "epsilon": 0.1,
-    "levels": 3,
-    "spacing": 8.0,
-    "max_iters": 100,
-    "seed": 0,
+    **_CFG.weights.as_dict(),
+    "levels": _CFG.num_levels,
+    "spacing": _CFG.finest_control_spacing_px,
+    "max_iters": _CFG.max_iters_per_level,
+    "seed": _CFG.seed,
 }
 
 
@@ -277,6 +275,14 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
 
 
+def _add_solver_flags(p):
+    """Loss weights and solver settings; unset flags fall back to config file or DEFAULTS."""
+    for flag, typ in [("--delta", float), ("--alpha", float), ("--beta", float),
+                      ("--epsilon", float), ("--levels", int), ("--spacing", float),
+                      ("--max-iters", int)]:
+        p.add_argument(flag, type=typ, default=None)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="defreg",
                                      description="2D deformable image registration engine")
@@ -310,10 +316,7 @@ def build_parser():
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--normalize", action="store_true",
                    help="min-max normalize intensities before registering")
-    for flag, typ in [("--delta", float), ("--alpha", float), ("--beta", float),
-                      ("--epsilon", float), ("--levels", int), ("--spacing", float),
-                      ("--max-iters", int)]:
-        p.add_argument(flag, type=typ, default=None)
+    _add_solver_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_register)
 
@@ -333,10 +336,7 @@ def build_parser():
     p.add_argument("--factors", default="100,10,1,0.1,0.01,0")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    for flag, typ in [("--delta", float), ("--alpha", float), ("--beta", float),
-                      ("--epsilon", float), ("--levels", int), ("--spacing", float),
-                      ("--max-iters", int)]:
-        p.add_argument(flag, type=typ, default=None)
+    _add_solver_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_ablate)
 

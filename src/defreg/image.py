@@ -121,30 +121,9 @@ class OneHotStack:
 # sampling
 
 
-def bilinear_sample_many(data: np.ndarray, px, py):
-    """Bilinear interpolation of ``data`` at coordinates (px, py), clamped to the domain."""
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py))):
-        raise DomainError("sample coordinates must be finite")
-    h, w = data.shape
-    if h < 2 or w < 2:
-        raise DomainError("bilinear sampling needs at least 2 pixels per axis")
-    cx = np.clip(px, 0.0, w - 1.0)
-    cy = np.clip(py, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(cx).astype(np.intp), w - 2)
-    y0 = np.minimum(np.floor(cy).astype(np.intp), h - 2)
-    fx = cx - x0
-    fy = cy - y0
-    v00 = data[y0, x0]
-    v01 = data[y0, x0 + 1]
-    v10 = data[y0 + 1, x0]
-    v11 = data[y0 + 1, x0 + 1]
-    return (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
-
-
 def bilinear_sample_with_grad(data: np.ndarray, px, py):
-    """Interpolated values plus derivatives w.r.t. the sample coordinates.
+    """Bilinear interpolation of ``data`` at (px, py), clamped to the domain,
+    plus the derivatives of the values w.r.t. the sample coordinates.
 
     Coordinates clamped outside the domain get zero positional derivative so
     that no force is exerted through the clamp.
@@ -154,6 +133,8 @@ def bilinear_sample_with_grad(data: np.ndarray, px, py):
     if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py))):
         raise DomainError("sample coordinates must be finite")
     h, w = data.shape
+    if h < 2 or w < 2:
+        raise DomainError("bilinear sampling needs at least 2 pixels per axis")
     cx = np.clip(px, 0.0, w - 1.0)
     cy = np.clip(py, 0.0, h - 1.0)
     x0 = np.minimum(np.floor(cx).astype(np.intp), w - 2)
@@ -172,6 +153,11 @@ def bilinear_sample_with_grad(data: np.ndarray, px, py):
     ddx = ddx * ((px >= 0.0) & (px <= w - 1.0))
     ddy = ddy * ((py >= 0.0) & (py <= h - 1.0))
     return val, ddx, ddy
+
+
+def bilinear_sample_many(data: np.ndarray, px, py):
+    """Bilinear interpolation of ``data`` at coordinates (px, py), clamped to the domain."""
+    return bilinear_sample_with_grad(data, px, py)[0]
 
 
 def bilinear_sample(img: Image2D, p) -> float:

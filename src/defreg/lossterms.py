@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import ControlGrid, DisplacementField, densify, splat_to_grid
+from .bspline import ControlGrid, DisplacementField, densify, sample_coords, splat_to_grid
 from .errors import ConfigurationError, DomainError
 from .image import (
     Image2D,
@@ -134,8 +134,7 @@ def boundary_ssd(fixed_oh: OneHotStack, warped_oh: OneHotStack):
 
 def total_loss(fixed: Image2D, moving: Image2D,
                fixed_oh: OneHotStack | None, moving_oh: OneHotStack | None,
-               grid: ControlGrid, w: LossWeights,
-               with_grad: bool = True, per_term_grads: bool = True) -> LossReport:
+               grid: ControlGrid, w: LossWeights, with_grad: bool = True) -> LossReport:
     """Evaluate the combined loss for a control grid and back-propagate to coefficients.
 
     With beta = 0 (or stacks absent) the boundary term is skipped entirely;
@@ -150,50 +149,36 @@ def total_loss(fixed: Image2D, moving: Image2D,
     if use_boundary and fixed_oh.channels.shape != moving_oh.channels.shape:
         raise DomainError("total_loss: one-hot channel mismatch")
 
-    h, q = fixed.height, fixed.width
-    fld = densify(grid, q, h)
+    fld = densify(grid, fixed.width, fixed.height)
     fld.spacing = fixed.spacing
-    xx, yy = np.meshgrid(np.arange(q, dtype=np.float64), np.arange(h, dtype=np.float64))
-    px = xx + fld.u[..., 0]
-    py = yy + fld.u[..., 1]
+    px, py = sample_coords(fld)
+    du_d = du_b = np.zeros_like(fld.u)
 
-    sp2 = fixed.spacing * fixed.spacing
-    du_d = np.zeros_like(fld.u)
-    du_b = np.zeros_like(fld.u)
-
+    d_value = 0.0
     if w.delta != 0.0:
         warped, dmx, dmy = bilinear_sample_with_grad(moving.data, px, py)
         d_value, d_grad_warped = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon)
         if with_grad:
-            du_d[..., 0] = d_grad_warped * dmx
-            du_d[..., 1] = d_grad_warped * dmy
-    else:
-        d_value = 0.0
+            du_d = np.stack([d_grad_warped * dmx, d_grad_warped * dmy], axis=-1)
 
     r_value, du_r = curvature(fld)
 
     b_value = 0.0
     if use_boundary:
-        for k in range(fixed_oh.num_classes):
-            wk, dkx, dky = bilinear_sample_with_grad(moving_oh.channels[k], px, py)
-            diff = wk - fixed_oh.channels[k]
-            b_value += 0.5 * sp2 * np.sum(diff * diff)
-            if with_grad:
-                du_b[..., 0] += sp2 * diff * dkx
-                du_b[..., 1] += sp2 * diff * dky
-        b_value = float(b_value)
+        chans, dkx, dky = zip(*(bilinear_sample_with_grad(ch, px, py)
+                                for ch in moving_oh.channels))
+        b_value, b_grad_warped = boundary_ssd(
+            fixed_oh, OneHotStack(np.stack(chans), spacing=moving_oh.spacing))
+        if with_grad:
+            du_b = np.stack([np.sum(b_grad_warped * np.stack(dkx), axis=0),
+                             np.sum(b_grad_warped * np.stack(dky), axis=0)], axis=-1)
 
     total = w.delta * d_value + w.alpha * r_value + w.beta * b_value
     report = LossReport(d_value=d_value, r_value=r_value, b_value=b_value,
                         total=float(total), weights=w)
     if with_grad:
-        if per_term_grads:
-            report.grad_d = splat_to_grid(du_d, grid)
-            report.grad_r = splat_to_grid(du_r, grid)
-            report.grad_b = splat_to_grid(du_b, grid)
-            report.grad_total = (w.delta * report.grad_d + w.alpha * report.grad_r
-                                 + w.beta * report.grad_b)
-        else:
-            du_total = w.delta * du_d + w.alpha * du_r + w.beta * du_b
-            report.grad_total = splat_to_grid(du_total, grid)
+        report.grad_d = splat_to_grid(du_d, grid)
+        report.grad_r = splat_to_grid(du_r, grid)
+        report.grad_b = splat_to_grid(du_b, grid)
+        report.grad_total = w.delta * report.grad_d + w.alpha * report.grad_r + w.beta * report.grad_b
     return report

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ class EvalReport:
     per_label_dice: dict  # label id -> Dice in [0, 1], foreground labels only
     mean_dice: float  # equal-weight mean over foreground labels
     folding_percent: float
-    difference_image_paths: list = field(default_factory=list)
 
     def as_dict(self):
         return {

@@ -131,19 +131,12 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
     w = cfg.weights
     coeffs = grid.coeffs.copy()
 
-    def value_at(c):
-        g = ControlGrid(grid.spacing_px, c)
-        rep = total_loss(fixed, moving, fixed_oh, moving_oh, g, w,
-                         with_grad=False, per_term_grads=False)
-        return rep.total
-
-    def grad_at(c):
-        g = ControlGrid(grid.spacing_px, c)
-        rep = total_loss(fixed, moving, fixed_oh, moving_oh, g, w,
-                         with_grad=True, per_term_grads=False)
+    def loss_at(c, with_grad):
+        rep = total_loss(fixed, moving, fixed_oh, moving_oh,
+                         ControlGrid(grid.spacing_px, c), w, with_grad=with_grad)
         return rep.total, rep.grad_total
 
-    f0, g = grad_at(coeffs)
+    f0, g = loss_at(coeffs, True)
     if not np.isfinite(f0):
         raise NumericalError("non-finite loss at level start", level=level,
                              iteration=0, weights=w.as_dict())
@@ -161,7 +154,7 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
         accepted = False
         for _ in range(cfg.max_backtracks + 1):
             trial = coeffs - t * g
-            ft = value_at(trial)
+            ft, _ = loss_at(trial, False)
             if not np.isfinite(ft):
                 raise NumericalError("non-finite loss during line search", level=level,
                                      iteration=it, weights=w.as_dict())
@@ -173,7 +166,7 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
             termination = "line_search_failure"
             break
         coeffs = trial
-        f0, g = grad_at(coeffs)
+        f0, g = loss_at(coeffs, True)
         losses.append(f0)
         step = 2.0 * t  # warm-start next trial from the last accepted step
     return ControlGrid(grid.spacing_px, coeffs), losses, termination

@@ -36,6 +36,12 @@ def brute_force_densify(grid, width, height):
     return u
 
 
+# (width, height, spacing): odd sizes down to 3 px and a non-integer spacing;
+# run in one process, so the per-level basis memo must key on all three
+LATTICES = [(13, 11, 4.0), (17, 15, 4.0), (11, 13, 4.0), (3, 5, 2.0), (9, 3, 2.5),
+            (16, 16, 8.0)]
+
+
 class TestDensify:
     def test_partition_of_unity(self):
         grid = make_grid(20, 14, 4.0)
@@ -55,12 +61,13 @@ class TestDensify:
         u = densify(grid, 33, 33).u
         assert u[16, 16, 0] == pytest.approx((2.0 / 3.0) ** 2)
 
-    def test_matches_brute_force_oracle(self):
+    @pytest.mark.parametrize("width,height,spacing", LATTICES)
+    def test_matches_brute_force_oracle(self, width, height, spacing):
         rng = np.random.default_rng(8)
-        grid = make_grid(13, 11, 4.0)
+        grid = make_grid(width, height, spacing)
         grid.coeffs[:] = rng.standard_normal(grid.coeffs.shape)
-        u = densify(grid, 13, 11).u
-        np.testing.assert_allclose(u, brute_force_densify(grid, 13, 11), atol=1e-12)
+        u = densify(grid, width, height).u
+        np.testing.assert_allclose(u, brute_force_densify(grid, width, height), atol=1e-12)
 
     def test_linear_in_coefficients(self):
         rng = np.random.default_rng(9)
@@ -78,12 +85,13 @@ class TestDensify:
         with pytest.raises(ConfigurationError):
             densify(grid, 64, 64)
 
-    def test_splat_is_adjoint_of_densify(self):
+    @pytest.mark.parametrize("width,height,spacing", LATTICES)
+    def test_splat_is_adjoint_of_densify(self, width, height, spacing):
         rng = np.random.default_rng(10)
-        grid = make_grid(17, 15, 4.0)
+        grid = make_grid(width, height, spacing)
         coeffs = rng.standard_normal(grid.coeffs.shape)
-        cot = rng.standard_normal((15, 17, 2))
-        u = densify(ControlGrid(4.0, coeffs), 17, 15).u
+        cot = rng.standard_normal((height, width, 2))
+        u = densify(ControlGrid(spacing, coeffs), width, height).u
         lhs = np.sum(u * cot)
         rhs = np.sum(coeffs * splat_to_grid(cot, grid))
         assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -58,6 +58,13 @@ class TestBilinearSample:
         with pytest.raises(DomainError):
             bilinear_sample(img, (np.nan, 1.0))
 
+    def test_one_pixel_axis_rejected(self):
+        data = np.arange(5.0).reshape(1, 5)
+        with pytest.raises(DomainError):
+            bilinear_sample_with_grad(data, np.array([1.5]), np.array([0.0]))
+        with pytest.raises(DomainError):
+            bilinear_sample_many(data, np.array([1.5]), np.array([0.0]))
+
     def test_grad_zero_only_on_clamped_axis(self):
         rng = np.random.default_rng(5)
         data = rng.random((6, 6))
