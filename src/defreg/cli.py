@@ -1,8 +1,9 @@
 """Command-line interface: synth, augment, register, eval, ablate, diff.
 
 Flags may also come from a JSON config file (``--config``); explicit flags win
-over the file, the file wins over built-in defaults. Resolved parameters are
-echoed into every JSON report. Exit codes: 0 success, 1 domain/configuration
+over the file, the file wins over built-in defaults; ``REGVAR_SEED`` supplies
+the seed of ``synth`` and ``augment`` if nothing else does. Resolved parameters
+are echoed into every JSON report. Exit codes: 0 success, 1 domain/configuration
 error, 2 numerical error.
 """
 
@@ -14,14 +15,14 @@ import json
 import os
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as regio
 from .errors import ConfigurationError, DomainError, NumericalError
-from .image import Image2D, LabelMap, normalize_intensity
+from .image import Image2D, normalize_intensity
 from .lossterms import LossWeights
 from .metrics import difference_image, evaluate_pair
 from .phantom import PhantomSpec, augment_pairs, make_pair
@@ -29,12 +30,14 @@ from .solver import RegistrationConfig, ablate, register
 
 _CFG = RegistrationConfig()
 DEFAULTS = {
-    **_CFG.weights.as_dict(),
+    **asdict(_CFG.weights),
     "levels": _CFG.num_levels,
     "spacing": _CFG.finest_control_spacing_px,
     "max_iters": _CFG.max_iters_per_level,
-    "seed": _CFG.seed,
+    "seed": PhantomSpec().seed,
 }
+# an unreadable or missing input file (OSError) exits 1 like any other bad input
+_FAILURES = (DomainError, ConfigurationError, NumericalError, OSError)
 
 
 def _resolve(args, config_file_values, key):
@@ -70,7 +73,6 @@ def _build_config(args, cfg_file):
         num_levels=int(_resolve(args, cfg_file, "levels")),
         finest_control_spacing_px=float(_resolve(args, cfg_file, "spacing")),
         max_iters_per_level=int(_resolve(args, cfg_file, "max_iters")),
-        seed=int(_resolve(args, cfg_file, "seed")),
     )
 
 
@@ -81,8 +83,29 @@ def _read_image(path) -> Image2D:
     return regio.read_raw_image(path)
 
 
-def _read_labels(path) -> LabelMap:
-    return regio.read_label_pgm(path)
+def _read_label_pair(fixed_path, moving_path):
+    """Both label maps of a pair, or ``(None, None)`` when neither is given.
+
+    The maps share the larger ``num_classes``, so a partial map that lacks a
+    class still pairs with a complete one.
+    """
+    if not (fixed_path or moving_path):
+        return None, None
+    if not (fixed_path and moving_path):
+        raise DomainError("supply both label maps or neither")
+    fixed, moving = regio.read_label_pgm(fixed_path), regio.read_label_pgm(moving_path)
+    n = max(fixed.num_classes, moving.num_classes)
+    return replace(fixed, num_classes=n), replace(moving, num_classes=n)
+
+
+def _fail(exc, prefix="") -> int:
+    """Print the one-line message of a failed run and return its exit code."""
+    if isinstance(exc, NumericalError):
+        print(f"numerical error: {prefix}{exc} (level={exc.level}, "
+              f"iteration={exc.iteration}, weights={exc.weights})", file=sys.stderr)
+        return 2
+    print(f"error: {prefix}{exc}", file=sys.stderr)
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +156,7 @@ def cmd_augment(args):
     new_entries = []
     for e in entries:
         fixed = _read_image(e["fixed_image"])
-        fixed_lab = _read_labels(e["fixed_labels"]) if e.get("fixed_labels") else None
+        fixed_lab = regio.read_label_pgm(e["fixed_labels"]) if e.get("fixed_labels") else None
         seq = np.random.SeedSequence((seed, zlib.crc32(e["id"].encode())))
         child = [int(s.generate_state(1)[0]) for s in seq.spawn(args.factor)]
         for j, s in enumerate(child):
@@ -162,8 +185,7 @@ def _register_one(fixed_p, moving_p, flab_p, mlab_p, cfg, out_dir, normalize):
     if normalize:
         fixed = normalize_intensity(fixed)
         moving = normalize_intensity(moving)
-    flab = _read_labels(flab_p) if flab_p else None
-    mlab = _read_labels(mlab_p) if mlab_p else None
+    flab, mlab = _read_label_pair(flab_p, mlab_p)
     result = register(fixed, moving, flab, mlab, cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,43 +200,36 @@ def _register_one(fixed_p, moving_p, flab_p, mlab_p, cfg, out_dir, normalize):
 
 
 def cmd_register(args):
-    cfg_file = _load_config_file(args)
-    cfg = _build_config(args, cfg_file)
+    """One pair, or every manifest entry in turn; a failed pair does not stop the rest."""
+    cfg = _build_config(args, _load_config_file(args))
     out = Path(args.out)
-    if args.manifest:
-        entries = regio.read_manifest(args.manifest)
-
-        def run(e):
-            return _register_one(e["fixed_image"], e["moving_image"],
-                                 e.get("fixed_labels"), e.get("moving_labels"),
-                                 cfg, out / e["id"], args.normalize)
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(run, entries))
+    if not args.manifest:
+        if not (args.fixed and args.moving):
+            raise ConfigurationError("register needs --fixed/--moving or --manifest")
+        _register_one(args.fixed, args.moving, args.fixed_labels, args.moving_labels,
+                      cfg, out, args.normalize)
         return 0
-    if not (args.fixed and args.moving):
-        raise ConfigurationError("register needs --fixed/--moving or --manifest")
-    if (args.fixed_labels is None) != (args.moving_labels is None):
-        raise DomainError("supply both label maps or neither")
-    _register_one(args.fixed, args.moving, args.fixed_labels, args.moving_labels,
-                  cfg, out, args.normalize)
-    return 0
+    code = 0
+    for e in regio.read_manifest(args.manifest):
+        try:
+            _register_one(e["fixed_image"], e["moving_image"],
+                          e.get("fixed_labels"), e.get("moving_labels"),
+                          cfg, out / e["id"], args.normalize)
+        except _FAILURES as exc:
+            code = max(code, _fail(exc, f"{e['id']}: "))
+    return code
 
 
 def cmd_eval(args):
     if args.manifest:
-        entries = regio.read_manifest(args.manifest)
         fields_dir = Path(args.fields_dir)
 
         def run(e):
-            flab = _read_labels(e["fixed_labels"])
-            mlab = _read_labels(e["moving_labels"])
+            flab, mlab = _read_label_pair(e["fixed_labels"], e["moving_labels"])
             fld = regio.read_field(fields_dir / e["id"] / "field.raw")
-            rep = evaluate_pair(flab, mlab, fld)
-            return e["id"], rep
+            return e["id"], evaluate_pair(flab, mlab, fld)
 
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, entries))
+        results = [run(e) for e in regio.read_manifest(args.manifest)]
         with open(args.out, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["pair_id", "dice_lvc", "dice_rvc", "dice_myo",
@@ -227,8 +242,9 @@ def cmd_eval(args):
                              f"{rep.mean_dice:.6f}",
                              f"{rep.folding_percent:.6f}"])
         return 0
-    flab = _read_labels(args.fixed_labels)
-    mlab = _read_labels(args.moving_labels)
+    if not (args.field and args.fixed_labels and args.moving_labels):
+        raise ConfigurationError("eval needs --field and both label maps, or --manifest")
+    flab, mlab = _read_label_pair(args.fixed_labels, args.moving_labels)
     fld = regio.read_field(args.field)
     rep = evaluate_pair(flab, mlab, fld)
     payload = rep.as_dict()
@@ -241,16 +257,11 @@ def cmd_ablate(args):
     cfg_file = _load_config_file(args)
     cfg = _build_config(args, cfg_file)
     entries = regio.read_manifest(args.manifest)
-    dataset = []
-    for e in entries:
-        dataset.append((
-            _read_image(e["fixed_image"]),
-            _read_image(e["moving_image"]),
-            _read_labels(e["fixed_labels"]),
-            _read_labels(e["moving_labels"]),
-        ))
+    dataset = [(_read_image(e["fixed_image"]), _read_image(e["moving_image"]),
+                *_read_label_pair(e["fixed_labels"], e["moving_labels"]))
+               for e in entries]
     factors = [float(f) for f in args.factors.split(",")]
-    rows = ablate(dataset, cfg, args.param, factors, jobs=args.jobs)
+    rows = ablate(dataset, cfg, args.param, factors)
     with open(args.out, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["factor", "dice_mean", "folding_pct"])
@@ -270,9 +281,17 @@ def cmd_diff(args):
 # parser
 
 
-def _add_common(p):
+def _add_common(p, seed=False):
     p.add_argument("--config", help="JSON file with default flag values")
-    p.add_argument("--seed", type=int, default=None)
+    if seed:
+        p.add_argument("--seed", type=int, default=None,
+                       help="random seed (else config file, REGVAR_SEED, 0)")
+
+
+def _add_ignored_jobs(p):
+    """``--jobs N`` is accepted and ignored: pairs run one after another, since
+    threads measured slower than the serial loop (numpy sampling holds the GIL)."""
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
 
 
 def _add_solver_flags(p):
@@ -295,7 +314,7 @@ def build_parser():
     p.add_argument("--height", type=int, default=112)
     p.add_argument("--magnitude", type=float, default=4.0)
     p.add_argument("--noise", type=float, default=0.02)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("augment", help="expand a manifest by deforming each pair")
@@ -303,7 +322,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--factor", type=int, default=8)
     p.add_argument("--magnitude", type=float, default=2.0)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("register", help="register one pair or every manifest entry")
@@ -313,7 +332,7 @@ def build_parser():
     p.add_argument("--moving-labels")
     p.add_argument("--manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    _add_ignored_jobs(p)
     p.add_argument("--normalize", action="store_true",
                    help="min-max normalize intensities before registering")
     _add_solver_flags(p)
@@ -326,7 +345,7 @@ def build_parser():
     p.add_argument("--moving-labels")
     p.add_argument("--manifest")
     p.add_argument("--fields-dir")
-    p.add_argument("--jobs", type=int, default=1)
+    _add_ignored_jobs(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -335,7 +354,6 @@ def build_parser():
     p.add_argument("--param", required=True, choices=["delta", "alpha", "beta"])
     p.add_argument("--factors", default="100,10,1,0.1,0.01,0")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     _add_solver_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_ablate)
@@ -357,13 +375,8 @@ def cli_main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DomainError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical error: {exc} (level={exc.level}, iteration={exc.iteration}, "
-              f"weights={exc.weights})", file=sys.stderr)
-        return 2
+    except _FAILURES as exc:
+        return _fail(exc)
 
 
 def main():

@@ -56,10 +56,12 @@ def _read_p5(path):
         raise DomainError(f"{path}: not a binary PGM (P5) file")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     pos += 1  # single whitespace byte after maxval
-    if maxval < 256:
-        data = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
-    else:
-        data = np.frombuffer(blob, dtype=">u2", count=w * h, offset=pos)
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    expected, actual = w * h * dtype.itemsize, max(len(blob) - pos, 0)
+    if actual < expected:
+        raise DomainError(f"{path}: truncated PGM: header promises {expected} "
+                          f"payload bytes, file holds {actual}")
+    data = np.frombuffer(blob, dtype=dtype, count=w * h, offset=pos)
     return data.reshape(h, w).astype(np.int64), maxval
 
 
@@ -101,10 +103,19 @@ def _write_raw(raw_path, array: np.ndarray, sidecar: dict):
     _sidecar_path(raw_path).write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
-def _read_raw(raw_path):
+def _read_raw(raw_path, kind, shape_keys, channels=()):
+    """The float32 payload as float64, shaped by the sidecar's ``shape_keys``
+    (plus ``channels``); the sidecar's ``kind`` and the byte count must match."""
     sidecar = json.loads(_sidecar_path(raw_path).read_text())
-    data = np.frombuffer(Path(raw_path).read_bytes(), dtype="<f4").astype(np.float64)
-    return data, sidecar
+    if sidecar.get("kind") != kind:
+        raise DomainError(f"{raw_path}: sidecar kind is {sidecar.get('kind')!r}, not {kind!r}")
+    shape = tuple(int(sidecar[k]) for k in shape_keys) + channels
+    payload = Path(raw_path).read_bytes()
+    expected = 4 * int(np.prod(shape))
+    if len(payload) != expected:
+        raise DomainError(f"{raw_path}: sidecar promises {expected} bytes, "
+                          f"payload holds {len(payload)}")
+    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape), sidecar
 
 
 def write_raw_image(raw_path, img: Image2D):
@@ -113,8 +124,8 @@ def write_raw_image(raw_path, img: Image2D):
 
 
 def read_raw_image(raw_path) -> Image2D:
-    data, sc = _read_raw(raw_path)
-    return Image2D(data.reshape(sc["height"], sc["width"]), spacing=sc.get("spacing", 1.0))
+    data, sc = _read_raw(raw_path, None, ("height", "width"))
+    return Image2D(data, spacing=sc.get("spacing", 1.0))
 
 
 def write_field(raw_path, fld: DisplacementField):
@@ -124,11 +135,8 @@ def write_field(raw_path, fld: DisplacementField):
 
 
 def read_field(raw_path) -> DisplacementField:
-    data, sc = _read_raw(raw_path)
-    if sc.get("kind") != "field":
-        raise DomainError(f"{raw_path}: sidecar kind is not 'field'")
-    return DisplacementField(data.reshape(sc["height"], sc["width"], 2),
-                             spacing=sc.get("spacing_px", 1.0))
+    data, sc = _read_raw(raw_path, "field", ("height", "width"), (2,))
+    return DisplacementField(data, spacing=sc.get("spacing_px", 1.0))
 
 
 def write_grid(raw_path, grid: ControlGrid):
@@ -138,10 +146,8 @@ def write_grid(raw_path, grid: ControlGrid):
 
 
 def read_grid(raw_path) -> ControlGrid:
-    data, sc = _read_raw(raw_path)
-    if sc.get("kind") != "grid":
-        raise DomainError(f"{raw_path}: sidecar kind is not 'grid'")
-    return ControlGrid(sc["spacing_px"], data.reshape(sc["rows"], sc["cols"], 2))
+    data, sc = _read_raw(raw_path, "grid", ("rows", "cols"), (2,))
+    return ControlGrid(sc["spacing_px"], data)
 
 
 # ---------------------------------------------------------------------------

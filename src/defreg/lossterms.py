@@ -44,10 +44,6 @@ class LossWeights:
         if not (self.epsilon > 0):
             raise ConfigurationError("edge parameter epsilon must be positive")
 
-    def as_dict(self):
-        return {"delta": self.delta, "alpha": self.alpha, "beta": self.beta,
-                "epsilon": self.epsilon}
-
 
 @dataclass
 class LossReport:
@@ -60,10 +56,6 @@ class LossReport:
     grad_r: np.ndarray | None = None
     grad_b: np.ndarray | None = None
     grad_total: np.ndarray | None = None
-
-    def as_dict(self):
-        return {"d": self.d_value, "r": self.r_value, "b": self.b_value,
-                "total": self.total, "weights": self.weights.as_dict()}
 
 
 def ngf_integrand(gfx, gfy, gmx, gmy, epsilon: float):

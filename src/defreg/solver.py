@@ -9,7 +9,7 @@ monotone non-increasing within a level.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,11 @@ from .lossterms import LossWeights, total_loss
 
 __all__ = ["RegistrationConfig", "LevelTrace", "RegistrationResult", "register", "ablate"]
 
+GRADIENT_TOLERANCE = 1e-6  # relative to the level's initial gradient norm
+ARMIJO_CONSTANT = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 30
+
 
 @dataclass
 class RegistrationConfig:
@@ -35,12 +40,6 @@ class RegistrationConfig:
     num_levels: int = 3
     finest_control_spacing_px: float = 8.0
     max_iters_per_level: int = 100
-    gradient_tolerance: float = 1e-6  # relative to the level's initial gradient norm
-    armijo_constant: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
-    seed: int = 0
-    solver: str = "gradient_descent"  # reserved for future Gauss-Newton
 
     def __post_init__(self):
         if self.num_levels < 1:
@@ -49,24 +48,6 @@ class RegistrationConfig:
             raise ConfigurationError("control spacing must be positive")
         if self.max_iters_per_level < 1:
             raise ConfigurationError("max_iters_per_level must be >= 1")
-        if not (0 < self.backtrack_factor < 1):
-            raise ConfigurationError("backtrack_factor must be in (0, 1)")
-        if self.solver != "gradient_descent":
-            raise ConfigurationError(f"unknown solver '{self.solver}'")
-
-    def as_dict(self):
-        return {
-            "weights": self.weights.as_dict(),
-            "num_levels": self.num_levels,
-            "finest_control_spacing_px": self.finest_control_spacing_px,
-            "max_iters_per_level": self.max_iters_per_level,
-            "gradient_tolerance": self.gradient_tolerance,
-            "armijo_constant": self.armijo_constant,
-            "backtrack_factor": self.backtrack_factor,
-            "max_backtracks": self.max_backtracks,
-            "seed": self.seed,
-            "solver": self.solver,
-        }
 
 
 @dataclass
@@ -91,7 +72,7 @@ class RegistrationResult:
         """Deterministic report payload; wall-clock time deliberately excluded."""
         final = self.level_traces[-1].losses[-1] if self.level_traces else None
         return {
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "levels": [
                 {
                     "level": t.level,
@@ -139,29 +120,29 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
     f0, g = loss_at(coeffs, True)
     if not np.isfinite(f0):
         raise NumericalError("non-finite loss at level start", level=level,
-                             iteration=0, weights=w.as_dict())
+                             iteration=0, weights=asdict(w))
     losses = [f0]
     gnorm0 = float(np.linalg.norm(g))
     step = 1.0 / (float(np.abs(g).max()) + 1e-12)
     termination = "max_iters"
     for it in range(cfg.max_iters_per_level):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= cfg.gradient_tolerance * gnorm0:
+        if gnorm <= GRADIENT_TOLERANCE * gnorm0:
             termination = "gradient_tolerance"
             break
         gg = gnorm * gnorm
         t = step
         accepted = False
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             trial = coeffs - t * g
             ft, _ = loss_at(trial, False)
             if not np.isfinite(ft):
                 raise NumericalError("non-finite loss during line search", level=level,
-                                     iteration=it, weights=w.as_dict())
-            if ft <= f0 - cfg.armijo_constant * t * gg:
+                                     iteration=it, weights=asdict(w))
+            if ft <= f0 - ARMIJO_CONSTANT * t * gg:
                 accepted = True
                 break
-            t *= cfg.backtrack_factor
+            t *= BACKTRACK_FACTOR
         if not accepted:
             termination = "line_search_failure"
             break
@@ -234,16 +215,13 @@ def register(fixed: Image2D, moving: Image2D,
                               quality=quality, duration_s=duration, config=cfg)
 
 
-def ablate(dataset, cfg: RegistrationConfig, parameter: str, factors, jobs: int = 1):
+def ablate(dataset, cfg: RegistrationConfig, parameter: str, factors):
     """Re-run registration with one scaled weight per factor; returns table rows.
 
     ``dataset`` is a list of (fixed, moving, fixed_lab, moving_lab) tuples.
     Rows are (factor, mean Dice over foreground labels, mean folding percent),
-    emitted in the given factor order. ``jobs`` parallelizes over pairs;
-    per-pair results are independent so the rows do not depend on it.
+    emitted in the given factor order.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from .metrics import evaluate_pair
 
     if not dataset:
@@ -261,12 +239,6 @@ def ablate(dataset, cfg: RegistrationConfig, parameter: str, factors, jobs: int 
     for factor in factors:
         w = replace(cfg.weights, **{parameter: getattr(cfg.weights, parameter) * factor})
         run_cfg = replace(cfg, weights=w)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda p: run_pair(p, run_cfg), dataset))
-        else:
-            results = [run_pair(p, run_cfg) for p in dataset]
-        dices = [r[0] for r in results]
-        folds = [r[1] for r in results]
+        dices, folds = zip(*(run_pair(p, run_cfg) for p in dataset))
         rows.append((factor, float(np.mean(dices)), float(np.mean(folds)) * 100.0))
     return rows

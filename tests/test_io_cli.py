@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from defreg import Image2D, LabelMap, make_grid
 from defreg.bspline import ControlGrid, DisplacementField
@@ -108,6 +110,44 @@ class TestRaw:
             regio.read_grid(p)
 
 
+def _exact32(rng, shape):
+    return rng.normal(size=shape).astype(np.float32).astype(np.float64)
+
+
+# kind -> (make(rng, h, w), write, read, array of the object, file that is truncated)
+FORMATS = {
+    "raw_image": (lambda rng, h, w: Image2D(_exact32(rng, (h, w)), spacing=1.5),
+                  regio.write_raw_image, regio.read_raw_image, lambda x: x.data, "raw"),
+    "field": (lambda rng, h, w: DisplacementField(_exact32(rng, (h, w, 2))),
+              regio.write_field, regio.read_field, lambda x: x.u, "raw"),
+    "grid": (lambda rng, h, w: ControlGrid(4.0, _exact32(rng, (h, w, 2))),
+             regio.write_grid, regio.read_grid, lambda x: x.coeffs, "raw"),
+    "labels8": (lambda rng, h, w: LabelMap(rng.integers(0, 256, (h, w)), num_classes=256),
+                regio.write_label_pgm, regio.read_label_pgm, lambda x: x.labels, "pgm"),
+    "labels16": (lambda rng, h, w: LabelMap(rng.integers(0, 65536, (h, w)),
+                                            num_classes=65536),
+                 regio.write_label_pgm, regio.read_label_pgm, lambda x: x.labels, "pgm"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(h=st.integers(1, 9), w=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_roundtrip_and_truncation(tmp_path, kind, h, w, seed, data):
+    """Every format reads back what it wrote; every shorter file is a DomainError."""
+    make, write, read, array, suffix = FORMATS[kind]
+    obj = make(np.random.default_rng(seed), h, w)
+    path = tmp_path / f"x.{suffix}"
+    write(path, obj)
+    assert np.array_equal(array(read(path)), array(obj))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")])
+    with pytest.raises(DomainError):
+        read(path)
+
+
 class TestManifest:
     def test_roundtrip_resolves_relative_paths(self, tmp_path):
         img = Image2D(np.zeros((4, 4)))
@@ -206,19 +246,22 @@ class TestCli:
         assert report["config"]["weights"]["alpha"] == 250.0  # flag beats file
         assert report["config"]["max_iters_per_level"] == 5  # file beats default
 
-    def test_seed_env_var_fallback(self, synth_dir, tmp_path, monkeypatch):
-        entries = regio.read_manifest(synth_dir / "manifest.json")
-        e = entries[0]
+    def test_seed_env_var_fallback(self, tmp_path, monkeypatch):
+        argv = ["synth", "--pairs", "1", "--width", "32", "--height", "32"]
+        assert cli_main([*argv, "--out", str(tmp_path / "flag"), "--seed", "7"]) == 0
         monkeypatch.setenv("REGVAR_SEED", "7")
-        out = tmp_path / "envseed"
-        cli_main(["register", "--fixed", e["fixed_image"], "--moving",
-                  e["moving_image"], "--out", str(out), "--max-iters", "2"])
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["seed"] == 7
+        assert cli_main([*argv, "--out", str(tmp_path / "env")]) == 0
+        for name in ("pair_000_fixed.raw", "pair_000_moving.raw", "pair_000_gt_field.raw"):
+            assert ((tmp_path / "flag" / name).read_bytes()
+                    == (tmp_path / "env" / name).read_bytes())
 
     def test_missing_inputs_exit_code_one(self, tmp_path):
         rc = cli_main(["register", "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    def test_missing_input_file_exit_code_one(self, tmp_path):
+        assert cli_main(["register", "--fixed", str(tmp_path / "no.raw"), "--moving",
+                         str(tmp_path / "no.raw"), "--out", str(tmp_path / "x")]) == 1
 
     def test_mismatched_label_flags_exit_code_one(self, synth_dir, tmp_path):
         entries = regio.read_manifest(synth_dir / "manifest.json")
@@ -228,6 +271,41 @@ class TestCli:
                        "--fixed-labels", e["fixed_labels"],
                        "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    def test_bad_pair_does_not_stop_the_batch(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in synth_dir.glob("pair_*"):
+            (data / f.name).write_bytes(f.read_bytes())
+        (data / "manifest.json").write_bytes((synth_dir / "manifest.json").read_bytes())
+        moving = data / "pair_000_moving.raw"
+        moving.write_bytes(moving.read_bytes()[:100])
+        out = tmp_path / "reg"
+        rc = cli_main(["register", "--manifest", str(data / "manifest.json"),
+                       "--out", str(out), "--max-iters", "2"])
+        assert rc == 1
+        assert "error: pair_000: " in capsys.readouterr().err
+        assert not (out / "pair_000" / "field.raw").exists()
+        assert (out / "pair_001" / "field.raw").exists()
+
+    def test_partial_label_map_registers(self, synth_dir, tmp_path):
+        e = regio.read_manifest(synth_dir / "manifest.json")[0]
+        moving = regio.read_label_pgm(e["moving_labels"])
+        assert moving.num_classes == 4
+        partial = tmp_path / "partial.pgm"  # the right-ventricle class 3 left unlabeled
+        regio.write_label_pgm(partial, LabelMap(np.where(moving.labels == 3, 0, moving.labels),
+                                                num_classes=3))
+        out = tmp_path / "reg"
+        assert cli_main(["register", "--fixed", e["fixed_image"], "--moving",
+                         e["moving_image"], "--fixed-labels", e["fixed_labels"],
+                         "--moving-labels", str(partial), "--out", str(out),
+                         "--max-iters", "2"]) == 0
+        assert cli_main(["eval", "--field", str(out / "field.raw"),
+                         "--fixed-labels", e["fixed_labels"], "--moving-labels",
+                         str(partial), "--out", str(tmp_path / "score.json")]) == 0
+
+    def test_eval_without_inputs_exit_code_one(self, tmp_path):
+        assert cli_main(["eval", "--out", str(tmp_path / "s.json")]) == 1
 
     def test_ablate_csv(self, synth_dir, tmp_path):
         out = tmp_path / "ablate.csv"

@@ -132,8 +132,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_levels=0), dict(finest_control_spacing_px=0.0),
-        dict(max_iters_per_level=0), dict(backtrack_factor=1.5),
-        dict(solver="newton"),
+        dict(max_iters_per_level=0),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -179,12 +178,6 @@ class TestAblate:
         cfg = RegistrationConfig(max_iters_per_level=30)
         rows = ablate(dataset, cfg, "beta", [1.0, 0.0])
         assert rows[1][1] < rows[0][1]
-
-    def test_jobs_do_not_change_results(self, dataset):
-        cfg = RegistrationConfig(max_iters_per_level=15)
-        a = ablate(dataset, cfg, "delta", [1.0, 0.0], jobs=1)
-        b = ablate(dataset, cfg, "delta", [1.0, 0.0], jobs=4)
-        assert a == b
 
     def test_unknown_parameter_rejected(self, dataset):
         from defreg.errors import DomainError
