@@ -13,24 +13,19 @@ from .bspline import (
     random_smooth_deformation,
     warp_image,
     warp_labels,
-    warp_onehot,
 )
 from .errors import ConfigurationError, DomainError, NumericalError
 from .image import (
     Image2D,
     LabelMap,
     OneHotStack,
-    bilinear_sample,
-    central_gradient,
     downsample,
-    laplacian,
-    nearest_sample,
     normalize_intensity,
     to_one_hot,
 )
 from .lossterms import LossReport, LossWeights, boundary_ssd, curvature, ngf_distance, total_loss
 from .metrics import EvalReport, dice, difference_image, evaluate_pair
-from .phantom import PhantomPair, PhantomSpec, augment_pairs, make_pair, make_phantom
+from .phantom import PhantomPair, PhantomSpec, make_pair, make_phantom
 from .solver import RegistrationConfig, RegistrationResult, ablate, register
 
 __version__ = "0.1.0"

@@ -19,8 +19,7 @@ from .errors import ConfigurationError, DomainError
 from .image import (
     Image2D,
     LabelMap,
-    OneHotStack,
-    bilinear_sample_many,
+    bilinear_sample_with_grad,
     central_gradient_raw,
     nearest_sample_many,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "prolongate",
     "random_smooth_deformation",
     "warp_image",
-    "warp_onehot",
     "warp_labels",
     "deformation_quality",
 ]
@@ -181,17 +179,14 @@ def splat_to_grid(grad_u: np.ndarray, grid: ControlGrid) -> np.ndarray:
     return _expand(grad_u, by.T, bx.T)
 
 
-def prolongate(grid: ControlGrid, fine_width: int, fine_height: int,
-               fine_spacing_px: float | None = None) -> ControlGrid:
+def prolongate(grid: ControlGrid, fine_width: int, fine_height: int) -> ControlGrid:
     """Transfer a coarse-level grid to a level with half the pixel spacing.
 
     The fine coefficients are the coarse field sampled at the fine control
     point locations and doubled (pixel units halve), which reproduces the
     coarse field up to interpolation error.
     """
-    if fine_spacing_px is None:
-        fine_spacing_px = grid.spacing_px
-    rows_f, cols_f = grid_shape_for(fine_width, fine_height, fine_spacing_px)
+    rows_f, cols_f = grid_shape_for(fine_width, fine_height, grid.spacing_px)
     # fine lattice node l sits at fine pixel l*s, i.e. coarse pixel l*s/2;
     # exterior fine nodes fall outside the coarse lattice, so evaluate through
     # a linearly extrapolated coefficient pad (exact for constant/linear fields)
@@ -199,9 +194,9 @@ def prolongate(grid: ControlGrid, fine_width: int, fine_height: int,
     ext = _extrapolate_pad(grid.coeffs, pad)
     ext_grid = ControlGrid(grid.spacing_px, ext)
     off = pad * grid.spacing_px
-    xs = (np.arange(cols_f, dtype=np.float64) - 1.0) * fine_spacing_px / 2.0 + off
-    ys = (np.arange(rows_f, dtype=np.float64) - 1.0) * fine_spacing_px / 2.0 + off
-    return ControlGrid(fine_spacing_px, 2.0 * densify_at(ext_grid, xs, ys))
+    xs = (np.arange(cols_f, dtype=np.float64) - 1.0) * grid.spacing_px / 2.0 + off
+    ys = (np.arange(rows_f, dtype=np.float64) - 1.0) * grid.spacing_px / 2.0 + off
+    return ControlGrid(grid.spacing_px, 2.0 * densify_at(ext_grid, xs, ys))
 
 
 def _extrapolate_pad(coeffs: np.ndarray, pad: int) -> np.ndarray:
@@ -243,16 +238,7 @@ def sample_coords(field: DisplacementField):
 def warp_image(m: Image2D, field: DisplacementField) -> Image2D:
     """Resample the moving image at x + u(x) with bilinear interpolation."""
     px, py = sample_coords(field)
-    return Image2D(bilinear_sample_many(m.data, px, py), spacing=m.spacing)
-
-
-def warp_onehot(stack: OneHotStack, field: DisplacementField) -> OneHotStack:
-    """Warp each channel independently with bilinear interpolation."""
-    if stack.width != field.width or stack.height != field.height:
-        raise DomainError("one-hot stack and field dimensions differ")
-    px, py = sample_coords(field)
-    warped = np.stack([bilinear_sample_many(ch, px, py) for ch in stack.channels])
-    return OneHotStack(warped, spacing=stack.spacing)
+    return Image2D(bilinear_sample_with_grad(m.data, px, py)[0], spacing=m.spacing)
 
 
 def warp_labels(lab: LabelMap, field: DisplacementField) -> LabelMap:
@@ -263,10 +249,7 @@ def warp_labels(lab: LabelMap, field: DisplacementField) -> LabelMap:
 
 def deformation_quality(field: DisplacementField) -> DeformationQuality:
     """Per-pixel det of the deformation Jacobian and the fraction with det <= 0."""
-    h, w = field.height, field.width
-    xx, yy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    y1 = xx + field.u[..., 0]
-    y2 = yy + field.u[..., 1]
+    y1, y2 = sample_coords(field)
     # derivatives w.r.t. pixel index: y and u are both in pixel units
     j11, j12 = central_gradient_raw(y1, 1.0)
     j21, j22 = central_gradient_raw(y2, 1.0)

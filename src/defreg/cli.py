@@ -25,7 +25,7 @@ from .errors import ConfigurationError, DomainError, NumericalError
 from .image import Image2D, normalize_intensity
 from .lossterms import LossWeights
 from .metrics import difference_image, evaluate_pair
-from .phantom import PhantomSpec, augment_pairs, make_pair
+from .phantom import PhantomSpec, make_pair
 from .solver import RegistrationConfig, ablate, register
 
 _CFG = RegistrationConfig()
@@ -40,39 +40,22 @@ DEFAULTS = {
 _FAILURES = (DomainError, ConfigurationError, NumericalError, OSError)
 
 
-def _resolve(args, config_file_values, key):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config_file_values:
-        return config_file_values[key]
-    if key == "seed" and "REGVAR_SEED" in os.environ:
-        return int(os.environ["REGVAR_SEED"])
-    return DEFAULTS[key]
+def _config_file_defaults(path) -> dict:
+    """The settings in a JSON config file, converted to the types of their flags."""
+    values = regio.read_json(path, dict)
+    try:
+        return {k: type(v)(values[k]) for k, v in DEFAULTS.items() if k in values}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{path}: settings must be numbers ({exc})") from None
 
 
-def _load_config_file(args):
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    values = json.loads(Path(path).read_text())
-    if not isinstance(values, dict):
-        raise ConfigurationError(f"{path}: config file must be a JSON object")
-    return values
-
-
-def _build_config(args, cfg_file):
-    weights = LossWeights(
-        delta=float(_resolve(args, cfg_file, "delta")),
-        alpha=float(_resolve(args, cfg_file, "alpha")),
-        beta=float(_resolve(args, cfg_file, "beta")),
-        epsilon=float(_resolve(args, cfg_file, "epsilon")),
-    )
+def _build_config(args):
     return RegistrationConfig(
-        weights=weights,
-        num_levels=int(_resolve(args, cfg_file, "levels")),
-        finest_control_spacing_px=float(_resolve(args, cfg_file, "spacing")),
-        max_iters_per_level=int(_resolve(args, cfg_file, "max_iters")),
+        weights=LossWeights(delta=args.delta, alpha=args.alpha, beta=args.beta,
+                            epsilon=args.epsilon),
+        num_levels=args.levels,
+        finest_control_spacing_px=args.spacing,
+        max_iters_per_level=args.max_iters,
     )
 
 
@@ -98,6 +81,13 @@ def _read_label_pair(fixed_path, moving_path):
     return replace(fixed, num_classes=n), replace(moving, num_classes=n)
 
 
+def _entry_label_pair(e):
+    """The label maps of a manifest entry that must have both."""
+    if not (e.get("fixed_labels") and e.get("moving_labels")):
+        raise ConfigurationError(f"{e['id']}: manifest entry lacks fixed_labels/moving_labels")
+    return _read_label_pair(e["fixed_labels"], e["moving_labels"])
+
+
 def _fail(exc, prefix="") -> int:
     """Print the one-line message of a failed run and return its exit code."""
     if isinstance(exc, NumericalError):
@@ -113,19 +103,17 @@ def _fail(exc, prefix="") -> int:
 
 
 def cmd_synth(args):
-    cfg_file = _load_config_file(args)
-    seed = int(_resolve(args, cfg_file, "seed"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # scale the default 112-px geometry to the requested size
     s = min(args.width, args.height) / 112.0
-    spec = PhantomSpec(width=args.width, height=args.height, seed=seed,
+    spec = PhantomSpec(width=args.width, height=args.height, seed=args.seed,
                        center=(62.0 * s, 56.0 * s), lv_radius=13.0 * s,
                        myo_outer_radius=22.0 * s, rv_thickness=8.0 * s,
                        noise_amplitude=args.noise)
     entries = []
     for i in range(args.pairs):
-        pair = make_pair(spec, deform_magnitude_px=args.magnitude, seed=seed + i)
+        pair = make_pair(spec, deform_magnitude_px=args.magnitude, seed=args.seed + i)
         pid = f"pair_{i:03d}"
         regio.write_raw_image(out / f"{pid}_fixed.raw", pair.fixed_image)
         regio.write_raw_image(out / f"{pid}_moving.raw", pair.moving_image)
@@ -146,8 +134,6 @@ def cmd_synth(args):
 
 
 def cmd_augment(args):
-    cfg_file = _load_config_file(args)
-    seed = int(_resolve(args, cfg_file, "seed"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = regio.read_manifest(args.manifest)
@@ -157,7 +143,7 @@ def cmd_augment(args):
     for e in entries:
         fixed = _read_image(e["fixed_image"])
         fixed_lab = regio.read_label_pgm(e["fixed_labels"]) if e.get("fixed_labels") else None
-        seq = np.random.SeedSequence((seed, zlib.crc32(e["id"].encode())))
+        seq = np.random.SeedSequence((args.seed, zlib.crc32(e["id"].encode())))
         child = [int(s.generate_state(1)[0]) for s in seq.spawn(args.factor)]
         for j, s in enumerate(child):
             grid = random_smooth_deformation(fixed.width, fixed.height,
@@ -201,7 +187,7 @@ def _register_one(fixed_p, moving_p, flab_p, mlab_p, cfg, out_dir, normalize):
 
 def cmd_register(args):
     """One pair, or every manifest entry in turn; a failed pair does not stop the rest."""
-    cfg = _build_config(args, _load_config_file(args))
+    cfg = _build_config(args)
     out = Path(args.out)
     if not args.manifest:
         if not (args.fixed and args.moving):
@@ -222,10 +208,12 @@ def cmd_register(args):
 
 def cmd_eval(args):
     if args.manifest:
+        if not args.fields_dir:
+            raise ConfigurationError("eval --manifest needs --fields-dir")
         fields_dir = Path(args.fields_dir)
 
         def run(e):
-            flab, mlab = _read_label_pair(e["fixed_labels"], e["moving_labels"])
+            flab, mlab = _entry_label_pair(e)
             fld = regio.read_field(fields_dir / e["id"] / "field.raw")
             return e["id"], evaluate_pair(flab, mlab, fld)
 
@@ -254,13 +242,16 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    cfg_file = _load_config_file(args)
-    cfg = _build_config(args, cfg_file)
+    cfg = _build_config(args)
+    try:
+        factors = [float(f) for f in args.factors.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"--factors must be comma-separated numbers, "
+                                 f"got {args.factors!r}") from None
     entries = regio.read_manifest(args.manifest)
     dataset = [(_read_image(e["fixed_image"]), _read_image(e["moving_image"]),
-                *_read_label_pair(e["fixed_labels"], e["moving_labels"]))
+                *_entry_label_pair(e))
                for e in entries]
-    factors = [float(f) for f in args.factors.split(",")]
     rows = ablate(dataset, cfg, args.param, factors)
     with open(args.out, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -284,7 +275,9 @@ def cmd_diff(args):
 def _add_common(p, seed=False):
     p.add_argument("--config", help="JSON file with default flag values")
     if seed:
-        p.add_argument("--seed", type=int, default=None,
+        # a string default goes through type=int, so a bad REGVAR_SEED is a usage error
+        p.add_argument("--seed", type=int,
+                       default=os.environ.get("REGVAR_SEED", DEFAULTS["seed"]),
                        help="random seed (else config file, REGVAR_SEED, 0)")
 
 
@@ -296,13 +289,13 @@ def _add_ignored_jobs(p):
 
 def _add_solver_flags(p):
     """Loss weights and solver settings; unset flags fall back to config file or DEFAULTS."""
-    for flag, typ in [("--delta", float), ("--alpha", float), ("--beta", float),
-                      ("--epsilon", float), ("--levels", int), ("--spacing", float),
-                      ("--max-iters", int)]:
-        p.add_argument(flag, type=typ, default=None)
+    for key in ("delta", "alpha", "beta", "epsilon", "levels", "spacing", "max_iters"):
+        default = DEFAULTS[key]
+        p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
 
 
 def build_parser():
+    """The parser and its subparsers action, whose ``choices`` map command to subparser."""
     parser = argparse.ArgumentParser(prog="defreg",
                                      description="2D deformable image registration engine")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -364,17 +357,20 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_diff)
 
-    return parser
+    return parser, sub
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's settings become defaults, so a flag given on the command line wins
+            commands.choices[args.command].set_defaults(**_config_file_defaults(args.config))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except _FAILURES as exc:
         return _fail(exc)
 

@@ -24,13 +24,11 @@ __all__ = [
     "Image2D",
     "LabelMap",
     "OneHotStack",
-    "bilinear_sample",
-    "bilinear_sample_many",
     "bilinear_sample_with_grad",
-    "nearest_sample",
-    "central_gradient",
+    "nearest_sample_many",
+    "central_gradient_raw",
     "gradient_adjoint",
-    "laplacian",
+    "laplacian_raw",
     "laplacian_adjoint",
     "downsample",
     "normalize_intensity",
@@ -104,18 +102,6 @@ class OneHotStack:
         if self.channels.ndim != 3:
             raise DomainError(f"one-hot stack must be (K, H, W), got {self.channels.shape}")
 
-    @property
-    def num_classes(self) -> int:
-        return self.channels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.channels.shape[2]
-
-    @property
-    def height(self) -> int:
-        return self.channels.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # sampling
@@ -155,27 +141,8 @@ def bilinear_sample_with_grad(data: np.ndarray, px, py):
     return val, ddx, ddy
 
 
-def bilinear_sample_many(data: np.ndarray, px, py):
-    """Bilinear interpolation of ``data`` at coordinates (px, py), clamped to the domain."""
-    return bilinear_sample_with_grad(data, px, py)[0]
-
-
-def bilinear_sample(img: Image2D, p) -> float:
-    """Sample one continuous coordinate ``p = (x, y)`` from an image."""
-    return float(bilinear_sample_many(img.data, p[0], p[1]))
-
-
-def nearest_sample(lab: LabelMap, p) -> int:
-    """Nearest-pixel label lookup; ties round half-up on both axes."""
-    x, y = float(p[0]), float(p[1])
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise DomainError("sample coordinates must be finite")
-    ix = int(np.clip(np.floor(x + 0.5), 0, lab.width - 1))
-    iy = int(np.clip(np.floor(y + 0.5), 0, lab.height - 1))
-    return int(lab.labels[iy, ix])
-
-
 def nearest_sample_many(labels: np.ndarray, px, py):
+    """Nearest-pixel label lookup at (px, py); ties round half-up on both axes."""
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
     if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py))):
@@ -207,14 +174,10 @@ def _diff_y(f: np.ndarray, h: float) -> np.ndarray:
 
 
 def central_gradient_raw(data: np.ndarray, spacing: float):
+    """Central differences in the interior, one-sided on the boundary; returns (gx, gy)."""
     if data.shape[0] < 3 or data.shape[1] < 3:
         raise DomainError("gradient needs at least 3 pixels per axis")
     return _diff_x(data, spacing), _diff_y(data, spacing)
-
-
-def central_gradient(img: Image2D):
-    """Central differences in the interior, one-sided on the boundary; returns (gx, gy)."""
-    return central_gradient_raw(img.data, img.spacing)
 
 
 def gradient_adjoint(qx: np.ndarray, qy: np.ndarray, spacing: float) -> np.ndarray:
@@ -239,17 +202,13 @@ def gradient_adjoint(qx: np.ndarray, qy: np.ndarray, spacing: float) -> np.ndarr
 
 
 def laplacian_raw(data: np.ndarray, spacing: float) -> np.ndarray:
+    """5-point Laplacian with replicated-edge padding on the boundary."""
     if data.shape[0] < 3 or data.shape[1] < 3:
         raise DomainError("laplacian needs at least 3 pixels per axis")
     p = np.pad(data, 1, mode="edge")
     return (
         p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * data
     ) / (spacing * spacing)
-
-
-def laplacian(img: Image2D) -> Image2D:
-    """5-point Laplacian with replicated-edge padding on the boundary."""
-    return Image2D(laplacian_raw(img.data, img.spacing), spacing=img.spacing)
 
 
 def laplacian_adjoint(q: np.ndarray, spacing: float) -> np.ndarray:

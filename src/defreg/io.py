@@ -23,7 +23,7 @@ from .image import Image2D, LabelMap
 __all__ = [
     "write_pgm", "read_pgm", "write_label_pgm", "read_label_pgm",
     "write_raw_image", "read_raw_image", "write_field", "read_field",
-    "write_grid", "read_grid", "write_manifest", "read_manifest",
+    "write_grid", "read_grid", "write_manifest", "read_manifest", "read_json",
 ]
 
 
@@ -54,7 +54,12 @@ def _read_p5(path):
         pos += m.end()
     if fields[0] != b"P5":
         raise DomainError(f"{path}: not a binary PGM (P5) file")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        w, h, maxval = (int(f) for f in fields[1:])
+    except ValueError:
+        raise DomainError(f"{path}: PGM header size and maxval must be integers") from None
+    if min(w, h) < 1 or not 0 < maxval < 65536:
+        raise DomainError(f"{path}: PGM header holds {w}x{h}, maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
     dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
     expected, actual = w * h * dtype.itemsize, max(len(blob) - pos, 0)
@@ -73,9 +78,9 @@ def write_pgm(path, img: Image2D, maxval: int = 255):
     _write_p5(path, q, maxval)
 
 
-def read_pgm(path, spacing: float = 1.0) -> Image2D:
+def read_pgm(path) -> Image2D:
     data, maxval = _read_p5(path)
-    return Image2D(data.astype(np.float64) / maxval, spacing=spacing)
+    return Image2D(data.astype(np.float64) / maxval)
 
 
 def write_label_pgm(path, lab: LabelMap):
@@ -83,15 +88,26 @@ def write_label_pgm(path, lab: LabelMap):
     _write_p5(path, lab.labels.astype(np.int64), maxval)
 
 
-def read_label_pgm(path, num_classes: int | None = None) -> LabelMap:
+def read_label_pgm(path) -> LabelMap:
+    """Label codes verbatim; ``num_classes`` is the largest code plus one."""
     data, _ = _read_p5(path)
-    if num_classes is None:
-        num_classes = int(data.max()) + 1
-    return LabelMap(data, num_classes=num_classes)
+    return LabelMap(data, num_classes=int(data.max()) + 1)
 
 
 # ---------------------------------------------------------------------------
-# raw float32 + JSON sidecar
+# JSON (sidecars, manifests, config files) and raw float32 payloads
+
+
+def read_json(path, expected: type):
+    """The JSON value in ``path``, which must be an ``expected`` (``dict`` or ``list``)."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except ValueError as exc:  # also undecodable bytes
+        raise DomainError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(value, expected):
+        raise DomainError(f"{path}: expected a JSON {expected.__name__}, "
+                          f"got {type(value).__name__}")
+    return value
 
 
 def _sidecar_path(raw_path) -> Path:
@@ -106,10 +122,14 @@ def _write_raw(raw_path, array: np.ndarray, sidecar: dict):
 def _read_raw(raw_path, kind, shape_keys, channels=()):
     """The float32 payload as float64, shaped by the sidecar's ``shape_keys``
     (plus ``channels``); the sidecar's ``kind`` and the byte count must match."""
-    sidecar = json.loads(_sidecar_path(raw_path).read_text())
+    sidecar = read_json(_sidecar_path(raw_path), dict)
     if sidecar.get("kind") != kind:
         raise DomainError(f"{raw_path}: sidecar kind is {sidecar.get('kind')!r}, not {kind!r}")
-    shape = tuple(int(sidecar[k]) for k in shape_keys) + channels
+    shape = tuple(sidecar.get(k) for k in shape_keys)
+    if not all(type(d) is int and d >= 0 for d in shape):
+        raise DomainError(f"{_sidecar_path(raw_path)}: {shape_keys} must be "
+                          f"non-negative integers, got {shape}")
+    shape += channels
     payload = Path(raw_path).read_bytes()
     expected = 4 * int(np.prod(shape))
     if len(payload) != expected:
@@ -160,11 +180,11 @@ def write_manifest(path, entries: list):
 
 
 def read_manifest(path) -> list:
-    entries = json.loads(Path(path).read_text())
-    if not isinstance(entries, list):
-        raise DomainError(f"{path}: manifest must be a JSON array")
+    entries = read_json(path, list)
     base = Path(path).parent
-    for e in entries:
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and isinstance(e.get("id"), str)):
+            raise DomainError(f"{path}: entry {i} must be an object with a string id")
         for key, val in list(e.items()):
             if key.endswith(("image", "labels", "field")) and val is not None:
                 p = Path(val)

@@ -39,10 +39,10 @@ class LossWeights:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.delta < 0 or self.alpha < 0 or self.beta < 0:
-            raise ConfigurationError("loss weights must be non-negative")
-        if not (self.epsilon > 0):
-            raise ConfigurationError("edge parameter epsilon must be positive")
+        if not all(0 <= v < np.inf for v in (self.delta, self.alpha, self.beta)):
+            raise ConfigurationError("loss weights must be non-negative and finite")
+        if not 0 < self.epsilon < np.inf:
+            raise ConfigurationError("edge parameter epsilon must be positive and finite")
 
 
 @dataclass
@@ -51,7 +51,6 @@ class LossReport:
     r_value: float
     b_value: float
     total: float
-    weights: LossWeights
     grad_d: np.ndarray | None = None  # per-term gradients w.r.t. control coefficients
     grad_r: np.ndarray | None = None
     grad_b: np.ndarray | None = None
@@ -167,7 +166,7 @@ def total_loss(fixed: Image2D, moving: Image2D,
 
     total = w.delta * d_value + w.alpha * r_value + w.beta * b_value
     report = LossReport(d_value=d_value, r_value=r_value, b_value=b_value,
-                        total=float(total), weights=w)
+                        total=float(total))
     if with_grad:
         report.grad_d = splat_to_grid(du_d, grid)
         report.grad_r = splat_to_grid(du_r, grid)

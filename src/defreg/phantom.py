@@ -19,7 +19,7 @@ from .bspline import ControlGrid, densify, random_smooth_deformation, warp_image
 from .errors import ConfigurationError
 from .image import Image2D, LabelMap
 
-__all__ = ["PhantomSpec", "PhantomPair", "make_phantom", "make_pair", "augment_pairs"]
+__all__ = ["PhantomSpec", "PhantomPair", "make_phantom", "make_pair"]
 
 LV_CAVITY = 1
 MYOCARDIUM = 2
@@ -129,12 +129,3 @@ def make_pair(spec: PhantomSpec, deform_magnitude_px: float = 2.0, seed: int = 0
     return PhantomPair(fixed_image=fixed_img, fixed_labels=fixed_lab,
                        moving_image=moving_img, moving_labels=moving_lab,
                        true_grid=grid)
-
-
-def augment_pairs(spec: PhantomSpec, deform_magnitude_px: float = 2.0, seed: int = 0,
-                  factor: int = 8, control_spacing_px: float = 16.0):
-    """Expand one base phantom into ``factor`` pairs with fresh deformation seeds."""
-    seq = np.random.SeedSequence(seed)
-    child_seeds = [int(s.generate_state(1)[0]) for s in seq.spawn(factor)]
-    return [make_pair(spec, deform_magnitude_px, seed=s,
-                      control_spacing_px=control_spacing_px) for s in child_seeds]

@@ -44,8 +44,8 @@ class RegistrationConfig:
     def __post_init__(self):
         if self.num_levels < 1:
             raise ConfigurationError("num_levels must be >= 1")
-        if self.finest_control_spacing_px <= 0:
-            raise ConfigurationError("control spacing must be positive")
+        if not 0 < self.finest_control_spacing_px < np.inf:
+            raise ConfigurationError("control spacing must be positive and finite")
         if self.max_iters_per_level < 1:
             raise ConfigurationError("max_iters_per_level must be >= 1")
 
@@ -201,7 +201,7 @@ def register(fixed: Image2D, moving: Image2D,
         if grid is None:
             grid = make_grid(f_l.width, f_l.height, spacing_px)
         else:
-            grid = prolongate(grid, f_l.width, f_l.height, spacing_px)
+            grid = prolongate(grid, f_l.width, f_l.height)
         grid, losses, termination = _solve_level(
             f_l, m_l, fixed_oh_pyr[level], moving_oh_pyr[level], grid, cfg, level)
         traces.append(LevelTrace(level=level, width=f_l.width, height=f_l.height,

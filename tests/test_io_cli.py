@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import defreg
 from defreg import Image2D, LabelMap, make_grid
 from defreg.bspline import ControlGrid, DisplacementField
 from defreg.cli import cli_main
@@ -365,3 +368,73 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["mean_dice"] == 1.0
         assert payload["defaults"]["beta"] == 5.0e4
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    """Valid 32 px images and labels next to malformed JSON, sidecar and PGM files."""
+    rng = np.random.default_rng(0)
+    regio.write_raw_image(tmp_path / "img.raw", Image2D(rng.random((32, 32))))
+    regio.write_label_pgm(tmp_path / "lab.pgm",
+                          LabelMap(rng.integers(0, 2, (32, 32)), num_classes=2))
+    pair = {"fixed_image": "img.raw", "moving_image": "img.raw"}
+    labels = {"fixed_labels": "lab.pgm", "moving_labels": "lab.pgm"}
+    files = {
+        "notjson.json": "not json",
+        "nope.json": "nope",
+        "numbers.json": "[1,2]",
+        "noid.json": json.dumps([pair]),
+        "unlabeled.json": json.dumps([{"id": "p0", **pair}]),
+        "labeled.json": json.dumps([{"id": "p0", **pair, **labels}]),
+        "short.raw": "", "short.json": json.dumps({"width": 4}),
+        "bad.raw": "", "bad.json": "nope",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "bad.pgm").write_bytes(b"P5\nab 3\n255\n")
+    (tmp_path / "negative.pgm").write_bytes(b"P5\n-1 2\n255\nabcd")
+    (tmp_path / "zero.pgm").write_bytes(b"P5\n2 2\n0\n" + bytes(4))
+    return tmp_path
+
+
+REGISTER_PAIR = ["register", "--fixed", "{d}/img.raw", "--moving", "{d}/img.raw",
+                 "--max-iters", "1", "--out", "{d}/out"]
+# one case per malformed file, bad argument and non-finite setting
+BAD_INPUTS = {
+    "config_not_json": [*REGISTER_PAIR, "--config", "{d}/notjson.json"],
+    "manifest_not_json": ["register", "--manifest", "{d}/nope.json", "--out", "{d}/out"],
+    "manifest_not_objects": ["register", "--manifest", "{d}/numbers.json", "--out", "{d}/out"],
+    "manifest_entry_without_id": ["register", "--manifest", "{d}/noid.json", "--out", "{d}/out"],
+    "sidecar_without_height": ["diff", "--a", "{d}/short.raw", "--b", "{d}/img.raw",
+                               "--out", "{d}/d.pgm"],
+    "sidecar_not_json": ["diff", "--a", "{d}/bad.raw", "--b", "{d}/img.raw", "--out", "{d}/d.pgm"],
+    "eval_manifest_without_fields_dir": ["eval", "--manifest", "{d}/labeled.json",
+                                         "--out", "{d}/s.csv"],
+    "eval_manifest_without_labels": ["eval", "--manifest", "{d}/unlabeled.json",
+                                     "--fields-dir", "{d}", "--out", "{d}/s.csv"],
+    "ablate_manifest_without_labels": ["ablate", "--manifest", "{d}/unlabeled.json",
+                                       "--param", "beta", "--out", "{d}/a.csv"],
+    "ablate_bad_factor": ["ablate", "--manifest", "{d}/labeled.json", "--param", "beta",
+                          "--factors", "1,x", "--out", "{d}/a.csv"],
+    "pgm_non_integer_header": ["diff", "--a", "{d}/bad.pgm", "--b", "{d}/img.raw",
+                               "--out", "{d}/d.pgm"],
+    "pgm_negative_width": ["diff", "--a", "{d}/negative.pgm", "--b", "{d}/negative.pgm",
+                           "--out", "{d}/d.pgm"],
+    "pgm_zero_maxval": ["diff", "--a", "{d}/zero.pgm", "--b", "{d}/zero.pgm", "--out", "{d}/d.pgm"],
+    "spacing_inf": [*REGISTER_PAIR, "--spacing", "inf"],
+    "spacing_nan": [*REGISTER_PAIR, "--spacing", "nan"],
+    "alpha_nan": [*REGISTER_PAIR, "--alpha", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_one_line(bad_inputs, argv):
+    """The installed entry point, run as a process: exit 1 and one ``error:`` line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(defreg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "defreg.cli",
+                           *(a.format(d=bad_inputs) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

@@ -6,7 +6,6 @@ import pytest
 from defreg import (
     ConfigurationError,
     PhantomSpec,
-    augment_pairs,
     make_pair,
     make_phantom,
 )
@@ -143,18 +142,3 @@ class TestMakePair:
         rewarped = warp_labels(pair.moving_labels, pair.true_field)
         assert np.array_equal(rewarped.labels, pair.fixed_labels.labels)
 
-
-class TestAugment:
-    def test_factor_count_and_determinism(self):
-        spec = PhantomSpec(**SMALL)
-        a = augment_pairs(spec, seed=9, factor=4)
-        b = augment_pairs(spec, seed=9, factor=4)
-        assert len(a) == 4
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.fixed_image.data, pb.fixed_image.data)
-
-    def test_children_differ(self):
-        spec = PhantomSpec(**SMALL)
-        pairs = augment_pairs(spec, seed=0, factor=3)
-        assert not np.array_equal(pairs[0].true_grid.coeffs, pairs[1].true_grid.coeffs)
-        assert not np.array_equal(pairs[1].true_grid.coeffs, pairs[2].true_grid.coeffs)
