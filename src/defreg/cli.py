@@ -1,10 +1,10 @@
-"""Command-line interface: synth, augment, register, eval, ablate, diff.
+"""Command-line interface: synth, register, eval, ablate, diff.
 
 Flags may also come from a JSON config file (``--config``); explicit flags win
 over the file, the file wins over built-in defaults; ``REGVAR_SEED`` supplies
-the seed of ``synth`` and ``augment`` if nothing else does. Resolved parameters
-are echoed into every JSON report. Exit codes: 0 success, 1 domain/configuration
-error, 2 numerical error.
+the seed of ``synth`` if nothing else does. Resolved parameters are echoed into
+every JSON report. Exit codes: 0 success, 1 domain/configuration/usage error,
+2 numerical error.
 """
 
 from __future__ import annotations
@@ -14,11 +14,8 @@ import csv
 import json
 import os
 import sys
-import zlib
 from dataclasses import asdict, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import io as regio
 from .errors import ConfigurationError, DomainError, NumericalError
@@ -133,38 +130,6 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_augment(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = regio.read_manifest(args.manifest)
-    from .bspline import densify, random_smooth_deformation, warp_image, warp_labels
-
-    new_entries = []
-    for e in entries:
-        fixed = _read_image(e["fixed_image"])
-        fixed_lab = regio.read_label_pgm(e["fixed_labels"]) if e.get("fixed_labels") else None
-        seq = np.random.SeedSequence((args.seed, zlib.crc32(e["id"].encode())))
-        child = [int(s.generate_state(1)[0]) for s in seq.spawn(args.factor)]
-        for j, s in enumerate(child):
-            grid = random_smooth_deformation(fixed.width, fixed.height,
-                                             args.magnitude, seed=s)
-            fld = densify(grid, fixed.width, fixed.height)
-            pid = f"{e['id']}_aug{j}"
-            new_e = dict(e)
-            new_e["id"] = pid
-            new_e.pop("gt_field", None)  # composition invalidates the stored ground truth
-            regio.write_raw_image(out / f"{pid}_fixed.raw", warp_image(fixed, fld))
-            new_e["fixed_image"] = f"{pid}_fixed.raw"
-            if fixed_lab is not None:
-                regio.write_label_pgm(out / f"{pid}_fixed_labels.pgm",
-                                      warp_labels(fixed_lab, fld))
-                new_e["fixed_labels"] = f"{pid}_fixed_labels.pgm"
-            new_entries.append(new_e)
-    regio.write_manifest(out / "manifest.json", new_entries)
-    print(str(out / "manifest.json"))
-    return 0
-
-
 def _register_one(fixed_p, moving_p, flab_p, mlab_p, cfg, out_dir, normalize):
     fixed = _read_image(fixed_p)
     moving = _read_image(moving_p)
@@ -272,13 +237,8 @@ def cmd_diff(args):
 # parser
 
 
-def _add_common(p, seed=False):
+def _add_common(p):
     p.add_argument("--config", help="JSON file with default flag values")
-    if seed:
-        # a string default goes through type=int, so a bad REGVAR_SEED is a usage error
-        p.add_argument("--seed", type=int,
-                       default=os.environ.get("REGVAR_SEED", DEFAULTS["seed"]),
-                       help="random seed (else config file, REGVAR_SEED, 0)")
 
 
 def _add_ignored_jobs(p):
@@ -294,10 +254,16 @@ def _add_solver_flags(p):
         p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error prints one ``error:`` line, like every other bad input, and exits 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
 def build_parser():
     """The parser and its subparsers action, whose ``choices`` map command to subparser."""
-    parser = argparse.ArgumentParser(prog="defreg",
-                                     description="2D deformable image registration engine")
+    parser = _Parser(prog="defreg", description="2D deformable image registration engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="emit labeled phantom pairs and a manifest")
@@ -307,16 +273,12 @@ def build_parser():
     p.add_argument("--height", type=int, default=112)
     p.add_argument("--magnitude", type=float, default=4.0)
     p.add_argument("--noise", type=float, default=0.02)
-    _add_common(p, seed=True)
+    # a string default goes through type=int, so a bad REGVAR_SEED is a usage error
+    p.add_argument("--seed", type=int,
+                   default=os.environ.get("REGVAR_SEED", DEFAULTS["seed"]),
+                   help="random seed (else config file, REGVAR_SEED, 0)")
+    _add_common(p)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("augment", help="expand a manifest by deforming each pair")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--factor", type=int, default=8)
-    p.add_argument("--magnitude", type=float, default=2.0)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("register", help="register one pair or every manifest entry")
     p.add_argument("--fixed")

@@ -11,6 +11,7 @@ A ``foo.raw`` payload always pairs with a ``foo.json`` sidecar.
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -138,6 +139,18 @@ def _read_raw(raw_path, kind, shape_keys, channels=()):
     return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape), sidecar
 
 
+def _sidecar_spacing(raw_path, sidecar, key, default=None):
+    """The sidecar's ``key``, a positive finite number; ``default`` if the key is
+    absent, and a ``DomainError`` if it is absent with no default."""
+    if key not in sidecar and default is not None:
+        return default
+    value = sidecar.get(key)
+    if type(value) not in (int, float) or not 0 < value < math.inf:  # bool, NaN and inf fail
+        raise DomainError(f"{_sidecar_path(raw_path)}: {key} must be a positive "
+                          f"finite number, got {value!r}")
+    return value
+
+
 def write_raw_image(raw_path, img: Image2D):
     _write_raw(raw_path, img.data,
                {"width": img.width, "height": img.height, "spacing": img.spacing})
@@ -145,7 +158,7 @@ def write_raw_image(raw_path, img: Image2D):
 
 def read_raw_image(raw_path) -> Image2D:
     data, sc = _read_raw(raw_path, None, ("height", "width"))
-    return Image2D(data, spacing=sc.get("spacing", 1.0))
+    return Image2D(data, spacing=_sidecar_spacing(raw_path, sc, "spacing", 1.0))
 
 
 def write_field(raw_path, fld: DisplacementField):
@@ -156,7 +169,7 @@ def write_field(raw_path, fld: DisplacementField):
 
 def read_field(raw_path) -> DisplacementField:
     data, sc = _read_raw(raw_path, "field", ("height", "width"), (2,))
-    return DisplacementField(data, spacing=sc.get("spacing_px", 1.0))
+    return DisplacementField(data, spacing=_sidecar_spacing(raw_path, sc, "spacing_px", 1.0))
 
 
 def write_grid(raw_path, grid: ControlGrid):
@@ -167,7 +180,7 @@ def write_grid(raw_path, grid: ControlGrid):
 
 def read_grid(raw_path) -> ControlGrid:
     data, sc = _read_raw(raw_path, "grid", ("rows", "cols"), (2,))
-    return ControlGrid(sc["spacing_px"], data)
+    return ControlGrid(_sidecar_spacing(raw_path, sc, "spacing_px"), data)
 
 
 # ---------------------------------------------------------------------------

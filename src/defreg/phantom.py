@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .bspline import ControlGrid, densify, random_smooth_deformation, warp_image, warp_labels
 from .errors import ConfigurationError
@@ -99,6 +98,10 @@ def make_phantom(spec: PhantomSpec):
         rng = np.random.default_rng(spec.seed)
         data = data + rng.uniform(-spec.noise_amplitude, spec.noise_amplitude, data.shape)
     if spec.smooth_sigma > 0:
+        # imported here: every CLI process imports this module, only synth smooths, and
+        # loading scipy.ndimage takes ~0.3 s (2-core x86 host)
+        from scipy.ndimage import gaussian_filter
+
         data = gaussian_filter(data, spec.smooth_sigma, mode="nearest")
     np.clip(data, 0.0, 1.0, out=data)
     return Image2D(data), LabelMap(labels, num_classes=4)

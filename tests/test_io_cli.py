@@ -105,6 +105,15 @@ class TestRaw:
         assert back.spacing_px == 8.0
         assert np.array_equal(back.coeffs, grid.coeffs)
 
+    def test_grid_sidecar_without_spacing_rejected(self, tmp_path):
+        p = tmp_path / "grid.raw"
+        regio.write_grid(p, make_grid(16, 16, 8.0))
+        sidecar = json.loads((tmp_path / "grid.json").read_text())
+        del sidecar["spacing_px"]
+        (tmp_path / "grid.json").write_text(json.dumps(sidecar))
+        with pytest.raises(DomainError):
+            regio.read_grid(p)
+
     def test_field_and_grid_kinds_distinct(self, tmp_path):
         fld = DisplacementField(np.zeros((4, 4, 2)))
         p = tmp_path / "x.raw"
@@ -343,15 +352,6 @@ class TestCli:
         # identical zero-magnitude pair: everything mid-grey
         assert np.allclose(img.data, 0.5, atol=0.51 / 255)
 
-    def test_augment_expands_manifest(self, synth_dir, tmp_path):
-        out = tmp_path / "aug"
-        rc = cli_main(["augment", "--manifest", str(synth_dir / "manifest.json"),
-                       "--out", str(out), "--factor", "2", "--magnitude", "1"])
-        assert rc == 0
-        entries = regio.read_manifest(out / "manifest.json")
-        assert len(entries) == 4  # 2 pairs x factor 2
-        assert all("gt_field" not in e for e in entries)
-
     def test_eval_single_json_echoes_defaults(self, synth_dir, tmp_path):
         entries = regio.read_manifest(synth_dir / "manifest.json")
         e = entries[0]
@@ -391,6 +391,11 @@ def bad_inputs(tmp_path):
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    for name, spacing in (("strspacing", '"x"'), ("nanspacing", "NaN"),
+                          ("infspacing", "Infinity")):
+        regio.write_raw_image(tmp_path / f"{name}.raw", Image2D(rng.random((32, 32))))
+        (tmp_path / f"{name}.json").write_text(
+            f'{{"width": 32, "height": 32, "spacing": {spacing}}}')
     (tmp_path / "bad.pgm").write_bytes(b"P5\nab 3\n255\n")
     (tmp_path / "negative.pgm").write_bytes(b"P5\n-1 2\n255\nabcd")
     (tmp_path / "zero.pgm").write_bytes(b"P5\n2 2\n0\n" + bytes(4))
@@ -408,6 +413,12 @@ BAD_INPUTS = {
     "sidecar_without_height": ["diff", "--a", "{d}/short.raw", "--b", "{d}/img.raw",
                                "--out", "{d}/d.pgm"],
     "sidecar_not_json": ["diff", "--a", "{d}/bad.raw", "--b", "{d}/img.raw", "--out", "{d}/d.pgm"],
+    "sidecar_spacing_not_number": ["diff", "--a", "{d}/strspacing.raw", "--b", "{d}/img.raw",
+                                   "--out", "{d}/d.pgm"],
+    "sidecar_spacing_nan": ["diff", "--a", "{d}/nanspacing.raw", "--b", "{d}/img.raw",
+                            "--out", "{d}/d.pgm"],
+    "sidecar_spacing_inf": ["diff", "--a", "{d}/infspacing.raw", "--b", "{d}/img.raw",
+                            "--out", "{d}/d.pgm"],
     "eval_manifest_without_fields_dir": ["eval", "--manifest", "{d}/labeled.json",
                                          "--out", "{d}/s.csv"],
     "eval_manifest_without_labels": ["eval", "--manifest", "{d}/unlabeled.json",
@@ -424,17 +435,81 @@ BAD_INPUTS = {
     "spacing_inf": [*REGISTER_PAIR, "--spacing", "inf"],
     "spacing_nan": [*REGISTER_PAIR, "--spacing", "nan"],
     "alpha_nan": [*REGISTER_PAIR, "--alpha", "nan"],
+    "register_without_out": ["register", "--fixed", "{d}/img.raw", "--moving", "{d}/img.raw"],
+    "unknown_flag": [*REGISTER_PAIR, "--no-such-flag"],
+    "seed_env_not_int": ["synth", "--out", "{d}/synth"],
+    "augment_removed": ["augment", "--manifest", "{d}/labeled.json", "--out", "{d}/aug"],
 }
+# the process environment of a case, beyond PYTHONPATH
+BAD_ENV = {"seed_env_not_int": {"REGVAR_SEED": "abc"}}
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_one_line(bad_inputs, argv):
+def _cli_env(**extra):
+    """The environment of a ``defreg.cli`` process that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=str(Path(defreg.__file__).parents[1]), **extra)
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_one_line(bad_inputs, case):
     """The installed entry point, run as a process: exit 1 and one ``error:`` line."""
-    env = dict(os.environ, PYTHONPATH=str(Path(defreg.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "defreg.cli",
-                           *(a.format(d=bad_inputs) for a in argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                           *(a.format(d=bad_inputs) for a in BAD_INPUTS[case])],
+                          env=_cli_env(**BAD_ENV.get(case, {})),
+                          capture_output=True, text=True, timeout=120)
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    """Only ``synth`` smooths with scipy, so the other subcommands do not pay its import."""
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, defreg.cli; print('scipy' in sys.modules)"],
+                          env=_cli_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def pair112(tmp_path_factory):
+    """The fixed and moving raw images of one default 112 px synth pair."""
+    out = tmp_path_factory.mktemp("synth112")
+    assert cli_main(["synth", "--out", str(out)]) == 0
+    return out / "pair_000_fixed.raw", out / "pair_000_moving.raw"
+
+
+def test_normalize_ignores_intensity_scale(pair112, tmp_path):
+    """Scaling by 256 is exact in float32, and so is min-max normalising the result."""
+    scaled = []
+    for path in pair112:
+        scaled.append(tmp_path / path.name)
+        regio.write_raw_image(scaled[-1], Image2D(regio.read_raw_image(path).data * 256))
+
+    def field(images, name, *flags):
+        out = tmp_path / name
+        assert cli_main(["register", "--fixed", str(images[0]), "--moving", str(images[1]),
+                         "--max-iters", "5", "--out", str(out), *flags]) == 0
+        return (out / "field.raw").read_bytes()
+
+    normalized = field(pair112, "norm", "--normalize")
+    assert field(scaled, "scaled_norm", "--normalize") == normalized
+    assert field(scaled, "scaled") != normalized
+
+
+def test_field_identical_across_blas_threads(pair112, tmp_path):
+    """Densify and splat are BLAS matmuls; their thread count must not change a bit."""
+    fields = []
+    for threads in ("1", "2", None):
+        env = _cli_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads_{threads}"
+        proc = subprocess.run([sys.executable, "-m", "defreg.cli", "register",
+                               "--fixed", str(pair112[0]), "--moving", str(pair112[1]),
+                               "--max-iters", "5", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        fields.append((out / "field.raw").read_bytes())
+    assert fields[0] == fields[1] == fields[2]
