@@ -19,8 +19,10 @@ from .errors import ConfigurationError, DomainError
 from .image import (
     Image2D,
     LabelMap,
+    SampleGeometry,
     bilinear_sample_with_grad,
     central_gradient_raw,
+    check_spacing,
     nearest_sample_many,
 )
 
@@ -53,8 +55,7 @@ class ControlGrid:
             raise DomainError(f"grid coeffs must be (rows, cols, 2), got {self.coeffs.shape}")
         if not np.all(np.isfinite(self.coeffs)):
             raise DomainError("grid coefficients must be finite")
-        if not (self.spacing_px > 0):
-            raise DomainError(f"control spacing must be positive, got {self.spacing_px}")
+        check_spacing(self.spacing_px, "control spacing")
 
     @property
     def rows(self) -> int:
@@ -78,6 +79,7 @@ class DisplacementField:
             raise DomainError(f"field must be (H, W, 2), got {self.u.shape}")
         if not np.all(np.isfinite(self.u)):
             raise DomainError("field values must be finite")
+        check_spacing(self.spacing)
 
     @property
     def width(self) -> int:
@@ -228,17 +230,26 @@ def random_smooth_deformation(width: int, height: int, magnitude_px: float,
 # warping
 
 
+@lru_cache(maxsize=8)
+def _pixel_grid(height: int, width: int):
+    """Read-only pixel positions (xx, yy) of a height x width grid; fixed for a pyramid level."""
+    xx, yy = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
+    xx.flags.writeable = False
+    yy.flags.writeable = False
+    return xx, yy
+
+
 def sample_coords(field: DisplacementField):
     """Per-pixel sample positions x + u(x) as (px, py)."""
-    h, w = field.height, field.width
-    xx, yy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    xx, yy = _pixel_grid(field.height, field.width)
     return xx + field.u[..., 0], yy + field.u[..., 1]
 
 
 def warp_image(m: Image2D, field: DisplacementField) -> Image2D:
     """Resample the moving image at x + u(x) with bilinear interpolation."""
-    px, py = sample_coords(field)
-    return Image2D(bilinear_sample_with_grad(m.data, px, py)[0], spacing=m.spacing)
+    geom = SampleGeometry(*sample_coords(field), m.data.shape)
+    return Image2D(bilinear_sample_with_grad(m.data, geom, with_grad=False)[0],
+                   spacing=m.spacing)
 
 
 def warp_labels(lab: LabelMap, field: DisplacementField) -> LabelMap:

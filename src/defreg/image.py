@@ -14,6 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +26,10 @@ __all__ = [
     "Image2D",
     "LabelMap",
     "OneHotStack",
+    "check_spacing",
+    "SampleGeometry",
     "bilinear_sample_with_grad",
+    "bilinear_slopes",
     "nearest_sample_many",
     "central_gradient_raw",
     "gradient_adjoint",
@@ -34,6 +39,15 @@ __all__ = [
     "normalize_intensity",
     "to_one_hot",
 ]
+
+
+def check_spacing(value, name: str = "spacing"):
+    """``value`` if it is a real number, not a bool, with 0 < value < inf;
+    otherwise a ``DomainError`` naming it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < math.inf):
+        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
+    return value
 
 
 @dataclass
@@ -51,8 +65,7 @@ class Image2D:
             raise DomainError(f"image must be non-empty, got {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise DomainError("image intensities must be finite")
-        if not (self.spacing > 0):
-            raise DomainError(f"spacing must be positive, got {self.spacing}")
+        check_spacing(self.spacing)
 
     @property
     def width(self) -> int:
@@ -101,44 +114,78 @@ class OneHotStack:
         self.channels = np.asarray(self.channels, dtype=np.float64)
         if self.channels.ndim != 3:
             raise DomainError(f"one-hot stack must be (K, H, W), got {self.channels.shape}")
+        check_spacing(self.spacing)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
-def bilinear_sample_with_grad(data: np.ndarray, px, py):
-    """Bilinear interpolation of ``data`` at (px, py), clamped to the domain,
-    plus the derivatives of the values w.r.t. the sample coordinates.
+class SampleGeometry:
+    """Where bilinear samples at (px, py) fall on an ``(h, w)`` pixel grid.
 
-    Coordinates clamped outside the domain get zero positional derivative so
-    that no force is exerted through the clamp.
+    Built once per set of coordinates and shared by every channel sampled
+    there: the flat indices of the four surrounding pixels, the interpolation
+    weights, and which coordinates lie inside the domain. Coordinates are
+    clamped to the domain; a clamped coordinate gets zero positional
+    derivative, so that no force is exerted through the clamp.
     """
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py))):
-        raise DomainError("sample coordinates must be finite")
-    h, w = data.shape
-    if h < 2 or w < 2:
-        raise DomainError("bilinear sampling needs at least 2 pixels per axis")
-    cx = np.clip(px, 0.0, w - 1.0)
-    cy = np.clip(py, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(cx).astype(np.intp), w - 2)
-    y0 = np.minimum(np.floor(cy).astype(np.intp), h - 2)
-    fx = cx - x0
-    fy = cy - y0
-    v00 = data[y0, x0]
-    v01 = data[y0, x0 + 1]
-    v10 = data[y0 + 1, x0]
-    v11 = data[y0 + 1, x0 + 1]
-    val = (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
-    ddx = (1 - fy) * (v01 - v00) + fy * (v11 - v10)
-    ddy = (1 - fx) * (v10 - v00) + fx * (v11 - v01)
+
+    __slots__ = ("shape", "i00", "i01", "i10", "i11", "fx", "fy", "gx", "gy", "in_x", "in_y")
+
+    def __init__(self, px, py, shape):
+        px = np.asarray(px, dtype=np.float64)
+        py = np.asarray(py, dtype=np.float64)
+        if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py))):
+            raise DomainError("sample coordinates must be finite")
+        h, w = shape
+        if h < 2 or w < 2:
+            raise DomainError("bilinear sampling needs at least 2 pixels per axis")
+        cx = np.clip(px, 0.0, w - 1.0)
+        cy = np.clip(py, 0.0, h - 1.0)
+        x0 = np.minimum(np.floor(cx).astype(np.intp), w - 2)
+        y0 = np.minimum(np.floor(cy).astype(np.intp), h - 2)
+        self.shape = (h, w)
+        self.fx = cx - x0
+        self.fy = cy - y0
+        self.gx = 1 - self.fx
+        self.gy = 1 - self.fy
+        self.i00 = y0 * w + x0
+        self.i01 = self.i00 + 1
+        self.i10 = self.i00 + w
+        self.i11 = self.i10 + 1
+        self.in_x = (px >= 0.0) & (px <= w - 1.0)
+        self.in_y = (py >= 0.0) & (py <= h - 1.0)
+
+
+def _corners(data: np.ndarray, g: SampleGeometry):
+    if data.shape != g.shape:
+        raise DomainError(f"sampled data {data.shape} does not match the geometry {g.shape}")
+    return data.take(g.i00), data.take(g.i01), data.take(g.i10), data.take(g.i11)
+
+
+def _slopes(v00, v01, v10, v11, g: SampleGeometry):
+    ddx = g.gy * (v01 - v00) + g.fy * (v11 - v10)
+    ddy = g.gx * (v10 - v00) + g.fx * (v11 - v01)
     # a clamped coordinate no longer moves the sample, so its derivative is zero;
     # the other axis keeps its usual interpolant derivative
-    ddx = ddx * ((px >= 0.0) & (px <= w - 1.0))
-    ddy = ddy * ((py >= 0.0) & (py <= h - 1.0))
-    return val, ddx, ddy
+    return ddx * g.in_x, ddy * g.in_y
+
+
+def bilinear_sample_with_grad(data: np.ndarray, g: SampleGeometry, with_grad: bool = True):
+    """Bilinear interpolation of ``data`` at the geometry's points, plus the
+    derivatives of the values w.r.t. the sample coordinates (``None`` for both
+    without ``with_grad``)."""
+    v00, v01, v10, v11 = _corners(data, g)
+    val = g.gy * (g.gx * v00 + g.fx * v01) + g.fy * (g.gx * v10 + g.fx * v11)
+    if not with_grad:
+        return val, None, None
+    return (val, *_slopes(v00, v01, v10, v11, g))
+
+
+def bilinear_slopes(data: np.ndarray, g: SampleGeometry):
+    """The derivatives part of :func:`bilinear_sample_with_grad` alone, as (ddx, ddy)."""
+    return _slopes(*_corners(data, g), g)
 
 
 def nearest_sample_many(labels: np.ndarray, px, py):
@@ -205,7 +252,13 @@ def laplacian_raw(data: np.ndarray, spacing: float) -> np.ndarray:
     """5-point Laplacian with replicated-edge padding on the boundary."""
     if data.shape[0] < 3 or data.shape[1] < 3:
         raise DomainError("laplacian needs at least 3 pixels per axis")
-    p = np.pad(data, 1, mode="edge")
+    h, w = data.shape
+    p = np.empty((h + 2, w + 2))
+    p[1:-1, 1:-1] = data
+    p[0, 1:-1] = data[0]
+    p[-1, 1:-1] = data[-1]
+    p[:, 0] = p[:, 1]
+    p[:, -1] = p[:, -2]
     return (
         p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * data
     ) / (spacing * spacing)

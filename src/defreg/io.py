@@ -11,7 +11,6 @@ A ``foo.raw`` payload always pairs with a ``foo.json`` sidecar.
 from __future__ import annotations
 
 import json
-import math
 import re
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .bspline import ControlGrid, DisplacementField
 from .errors import DomainError
-from .image import Image2D, LabelMap
+from .image import Image2D, LabelMap, check_spacing
 
 __all__ = [
     "write_pgm", "read_pgm", "write_label_pgm", "read_label_pgm",
@@ -144,11 +143,7 @@ def _sidecar_spacing(raw_path, sidecar, key, default=None):
     absent, and a ``DomainError`` if it is absent with no default."""
     if key not in sidecar and default is not None:
         return default
-    value = sidecar.get(key)
-    if type(value) not in (int, float) or not 0 < value < math.inf:  # bool, NaN and inf fail
-        raise DomainError(f"{_sidecar_path(raw_path)}: {key} must be a positive "
-                          f"finite number, got {value!r}")
-    return value
+    return check_spacing(sidecar.get(key), f"{_sidecar_path(raw_path)}: {key}")
 
 
 def write_raw_image(raw_path, img: Image2D):

@@ -12,7 +12,7 @@ All integrals are un-normalized discrete sums, (sum over pixels) * spacing**2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from .errors import ConfigurationError, DomainError
 from .image import (
     Image2D,
     OneHotStack,
+    SampleGeometry,
     bilinear_sample_with_grad,
+    bilinear_slopes,
     central_gradient_raw,
     gradient_adjoint,
     laplacian_raw,
@@ -45,6 +47,24 @@ class LossWeights:
             raise ConfigurationError("edge parameter epsilon must be positive and finite")
 
 
+@dataclass(frozen=True, slots=True)
+class _ForwardState:
+    """What the backward pass of one :func:`total_loss` evaluation needs.
+
+    It holds arrays only, never the report it belongs to, so a report and its
+    state are freed by reference counting as soon as the caller drops them.
+    """
+
+    grid: ControlGrid
+    weights: LossWeights
+    fld: DisplacementField
+    geom: SampleGeometry
+    moving: np.ndarray
+    ngf: tuple | None  # the NGF adjoint's intermediates, None without the distance term
+    channels: np.ndarray | None  # moving one-hot channels, None without the boundary term
+    b_grad: np.ndarray | None  # boundary gradient w.r.t. the warped channels
+
+
 @dataclass
 class LossReport:
     d_value: float
@@ -55,6 +75,30 @@ class LossReport:
     grad_r: np.ndarray | None = None
     grad_b: np.ndarray | None = None
     grad_total: np.ndarray | None = None
+    forward: _ForwardState | None = field(default=None, repr=False, compare=False)
+
+    def backward(self) -> np.ndarray:
+        """Fill the four gradients from the stored forward state, release that
+        state, and return ``grad_total``; a second call only returns it."""
+        s, self.forward = self.forward, None
+        if s is None:
+            return self.grad_total
+        w = s.weights
+        du_d = du_b = np.zeros_like(s.fld.u)
+        if s.ngf is not None:
+            d_grad_warped = _ngf_adjoint(s.ngf, s.fld.spacing)
+            dmx, dmy = bilinear_slopes(s.moving, s.geom)
+            du_d = np.stack([d_grad_warped * dmx, d_grad_warped * dmy], axis=-1)
+        _, du_r = curvature(s.fld)
+        if s.b_grad is not None:
+            dkx, dky = zip(*(bilinear_slopes(ch, s.geom) for ch in s.channels))
+            du_b = np.stack([np.sum(s.b_grad * np.stack(dkx), axis=0),
+                             np.sum(s.b_grad * np.stack(dky), axis=0)], axis=-1)
+        self.grad_d = splat_to_grid(du_d, s.grid)
+        self.grad_r = splat_to_grid(du_r, s.grid)
+        self.grad_b = splat_to_grid(du_b, s.grid)
+        self.grad_total = w.delta * self.grad_d + w.alpha * self.grad_r + w.beta * self.grad_b
+        return self.grad_total
 
 
 def ngf_integrand(gfx, gfy, gmx, gmy, epsilon: float):
@@ -67,7 +111,7 @@ def ngf_integrand(gfx, gfy, gmx, gmy, epsilon: float):
 
 
 def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float):
-    """NGF value and its gradient w.r.t. the warped intensity values."""
+    """NGF value and the intermediates :func:`_ngf_adjoint` needs."""
     e2 = epsilon * epsilon
     gfx, gfy = central_gradient_raw(fixed_data, spacing)
     gmx, gmy = central_gradient_raw(warped_data, spacing)
@@ -76,11 +120,17 @@ def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float):
     c = gfx * gfx + gfy * gfy + e2
     sp2 = spacing * spacing
     value = 0.5 * sp2 * np.sum(1.0 - (a * a) / (b * c))
+    return float(value), (gfx, gfy, gmx, gmy, a, b, c)
+
+
+def _ngf_adjoint(inter, spacing: float) -> np.ndarray:
+    """Gradient of the NGF value w.r.t. the warped intensity values."""
+    gfx, gfy, gmx, gmy, a, b, c = inter
+    sp2 = spacing * spacing
     # d(value)/d gM_j = sp2 * (a^2 gM_j / b^2 - a gF_j / b) / c
     qx = sp2 * (a * a * gmx / (b * b) - a * gfx / b) / c
     qy = sp2 * (a * a * gmy / (b * b) - a * gfy / b) / c
-    grad_warped = gradient_adjoint(qx, qy, spacing)
-    return float(value), grad_warped
+    return gradient_adjoint(qx, qy, spacing)
 
 
 def ngf_distance(fixed: Image2D, warped: Image2D, epsilon: float = 0.1):
@@ -92,11 +142,13 @@ def ngf_distance(fixed: Image2D, warped: Image2D, epsilon: float = 0.1):
     """
     if fixed.data.shape != warped.data.shape:
         raise DomainError("ngf_distance: image dimensions differ")
-    return _ngf_core(fixed.data, warped.data, fixed.spacing, epsilon)
+    value, inter = _ngf_core(fixed.data, warped.data, fixed.spacing, epsilon)
+    return value, _ngf_adjoint(inter, fixed.spacing)
 
 
-def curvature(fld: DisplacementField):
-    """Curvature penalty 0.5 * integral of |Lap u_j|^2 and its gradient w.r.t. u.
+def curvature(fld: DisplacementField, with_grad: bool = True):
+    """Curvature penalty 0.5 * integral of |Lap u_j|^2 and its gradient w.r.t. u
+    (``None`` without ``with_grad``).
 
     Computed from the displacement u rather than y so the identity deformation
     scores exactly zero; at interior pixels the two agree since the stencil
@@ -107,6 +159,8 @@ def curvature(fld: DisplacementField):
     lx = laplacian_raw(fld.u[..., 0], sp)
     ly = laplacian_raw(fld.u[..., 1], sp)
     value = 0.5 * sp2 * (np.sum(lx * lx) + np.sum(ly * ly))
+    if not with_grad:
+        return float(value), None
     grad = np.empty_like(fld.u)
     grad[..., 0] = sp2 * laplacian_adjoint(lx, sp)
     grad[..., 1] = sp2 * laplacian_adjoint(ly, sp)
@@ -128,6 +182,10 @@ def total_loss(fixed: Image2D, moving: Image2D,
                grid: ControlGrid, w: LossWeights, with_grad: bool = True) -> LossReport:
     """Evaluate the combined loss for a control grid and back-propagate to coefficients.
 
+    This is the forward pass; the report keeps what the backward pass needs,
+    and ``report.backward()`` fills the gradients later. ``with_grad`` runs
+    the backward pass at once.
+
     With beta = 0 (or stacks absent) the boundary term is skipped entirely;
     with delta = 0 the image distance is skipped, leaving the purely
     label-driven loss.
@@ -142,34 +200,29 @@ def total_loss(fixed: Image2D, moving: Image2D,
 
     fld = densify(grid, fixed.width, fixed.height)
     fld.spacing = fixed.spacing
-    px, py = sample_coords(fld)
-    du_d = du_b = np.zeros_like(fld.u)
+    geom = SampleGeometry(*sample_coords(fld), moving.data.shape)
 
     d_value = 0.0
+    ngf = None
     if w.delta != 0.0:
-        warped, dmx, dmy = bilinear_sample_with_grad(moving.data, px, py)
-        d_value, d_grad_warped = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon)
-        if with_grad:
-            du_d = np.stack([d_grad_warped * dmx, d_grad_warped * dmy], axis=-1)
+        warped = bilinear_sample_with_grad(moving.data, geom, with_grad=False)[0]
+        d_value, ngf = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon)
 
-    r_value, du_r = curvature(fld)
+    r_value, _ = curvature(fld, with_grad=False)
 
     b_value = 0.0
+    b_grad_warped = None
     if use_boundary:
-        chans, dkx, dky = zip(*(bilinear_sample_with_grad(ch, px, py)
-                                for ch in moving_oh.channels))
+        chans = [bilinear_sample_with_grad(ch, geom, with_grad=False)[0]
+                 for ch in moving_oh.channels]
         b_value, b_grad_warped = boundary_ssd(
             fixed_oh, OneHotStack(np.stack(chans), spacing=moving_oh.spacing))
-        if with_grad:
-            du_b = np.stack([np.sum(b_grad_warped * np.stack(dkx), axis=0),
-                             np.sum(b_grad_warped * np.stack(dky), axis=0)], axis=-1)
 
     total = w.delta * d_value + w.alpha * r_value + w.beta * b_value
-    report = LossReport(d_value=d_value, r_value=r_value, b_value=b_value,
-                        total=float(total))
+    report = LossReport(
+        d_value=d_value, r_value=r_value, b_value=b_value, total=float(total),
+        forward=_ForwardState(grid, w, fld, geom, moving.data, ngf,
+                              moving_oh.channels if use_boundary else None, b_grad_warped))
     if with_grad:
-        report.grad_d = splat_to_grid(du_d, grid)
-        report.grad_r = splat_to_grid(du_r, grid)
-        report.grad_b = splat_to_grid(du_b, grid)
-        report.grad_total = w.delta * report.grad_d + w.alpha * report.grad_r + w.beta * report.grad_b
+        report.backward()
     return report

@@ -112,15 +112,16 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
     w = cfg.weights
     coeffs = grid.coeffs.copy()
 
-    def loss_at(c, with_grad):
-        rep = total_loss(fixed, moving, fixed_oh, moving_oh,
-                         ControlGrid(grid.spacing_px, c), w, with_grad=with_grad)
-        return rep.total, rep.grad_total
+    def forward(c):
+        return total_loss(fixed, moving, fixed_oh, moving_oh,
+                          ControlGrid(grid.spacing_px, c), w, with_grad=False)
 
-    f0, g = loss_at(coeffs, True)
+    rep = forward(coeffs)
+    f0 = rep.total
     if not np.isfinite(f0):
         raise NumericalError("non-finite loss at level start", level=level,
                              iteration=0, weights=asdict(w))
+    g = rep.backward()
     losses = [f0]
     gnorm0 = float(np.linalg.norm(g))
     step = 1.0 / (float(np.abs(g).max()) + 1e-12)
@@ -135,7 +136,9 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             trial = coeffs - t * g
-            ft, _ = loss_at(trial, False)
+            rep = None  # free the rejected trial's forward state before the next one
+            rep = forward(trial)
+            ft = rep.total
             if not np.isfinite(ft):
                 raise NumericalError("non-finite loss during line search", level=level,
                                      iteration=it, weights=asdict(w))
@@ -146,8 +149,9 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
         if not accepted:
             termination = "line_search_failure"
             break
+        # the accepted trial's forward pass is the new point's: only its backward pass runs
         coeffs = trial
-        f0, g = loss_at(coeffs, True)
+        f0, g = ft, rep.backward()
         losses.append(f0)
         step = 2.0 * t  # warm-start next trial from the last accepted step
     return ControlGrid(grid.spacing_px, coeffs), losses, termination

@@ -5,11 +5,14 @@ from defreg import (
     DomainError,
     Image2D,
     LabelMap,
+    OneHotStack,
     downsample,
     normalize_intensity,
     to_one_hot,
 )
+from defreg.bspline import ControlGrid, DisplacementField
 from defreg.image import (
+    SampleGeometry,
     bilinear_sample_with_grad,
     central_gradient_raw,
     gradient_adjoint,
@@ -24,9 +27,14 @@ def ramp_x(w=8, h=6, spacing=1.0):
     return Image2D(xx, spacing=spacing)
 
 
+def bilinear(data, px, py):
+    """Values and coordinate derivatives of ``data`` sampled at (px, py)."""
+    return bilinear_sample_with_grad(data, SampleGeometry(px, py, data.shape))
+
+
 def bilinear_at(img, p):
     """The sampled value at one point ``p = (x, y)``."""
-    return bilinear_sample_with_grad(img.data, p[0], p[1])[0]
+    return bilinear(img.data, p[0], p[1])[0]
 
 
 def nearest_at(lab, p):
@@ -67,12 +75,17 @@ class TestBilinearSample:
     def test_one_pixel_axis_rejected(self):
         data = np.arange(5.0).reshape(1, 5)
         with pytest.raises(DomainError):
-            bilinear_sample_with_grad(data, np.array([1.5]), np.array([0.0]))
+            bilinear(data, np.array([1.5]), np.array([0.0]))
+
+    def test_data_must_match_geometry(self):
+        geom = SampleGeometry(np.array([1.5]), np.array([0.5]), (4, 4))
+        with pytest.raises(DomainError):
+            bilinear_sample_with_grad(np.zeros((4, 5)), geom)
 
     def test_grad_zero_only_on_clamped_axis(self):
         rng = np.random.default_rng(5)
         data = rng.random((6, 6))
-        _, ddx, ddy = bilinear_sample_with_grad(data, np.array([2.3, -1.0]), np.array([7.0, 2.5]))
+        _, ddx, ddy = bilinear(data, np.array([2.3, -1.0]), np.array([7.0, 2.5]))
         assert ddx[0] != 0.0 and ddy[0] == 0.0  # y clamped, x free
         assert ddx[1] == 0.0 and ddy[1] != 0.0  # x clamped, y free
 
@@ -81,11 +94,11 @@ class TestBilinearSample:
         data = rng.random((9, 9))
         px = rng.uniform(0.6, 7.4, 20)
         py = rng.uniform(0.6, 7.4, 20)
-        _, ddx, ddy = bilinear_sample_with_grad(data, px, py)
+        _, ddx, ddy = bilinear(data, px, py)
         h = 1e-6
 
         def val(x, y):
-            return bilinear_sample_with_grad(data, x, y)[0]
+            return bilinear(data, x, y)[0]
 
         fdx = (val(px + h, py) - val(px - h, py)) / (2 * h)
         fdy = (val(px, py + h) - val(px, py - h)) / (2 * h)
@@ -233,3 +246,25 @@ class TestOneHot:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             LabelMap(np.array([[0, 7]]), num_classes=4)
+
+
+CONTAINERS = {
+    "Image2D": lambda s: Image2D(np.zeros((3, 3)), spacing=s),
+    "OneHotStack": lambda s: OneHotStack(np.zeros((2, 3, 3)), spacing=s),
+    "DisplacementField": lambda s: DisplacementField(np.zeros((3, 3, 2)), spacing=s),
+    "ControlGrid": lambda s: ControlGrid(s, np.zeros((4, 4, 2))),
+}
+
+
+@pytest.mark.parametrize("container", sorted(CONTAINERS))
+@pytest.mark.parametrize("spacing", [0, -1.0, np.inf, np.nan, True, "x", None])
+def test_bad_spacing_rejected(container, spacing):
+    with pytest.raises(DomainError):
+        CONTAINERS[container](spacing)
+
+
+@pytest.mark.parametrize("container", sorted(CONTAINERS))
+@pytest.mark.parametrize("spacing", [1, 2.5, np.float64(0.5)])
+def test_good_spacing_kept(container, spacing):
+    obj = CONTAINERS[container](spacing)
+    assert getattr(obj, "spacing", getattr(obj, "spacing_px", None)) == spacing

@@ -463,12 +463,14 @@ def test_bad_input_exits_one_line(bad_inputs, case):
 
 
 def test_cli_import_leaves_scipy_out():
-    """Only ``synth`` smooths with scipy, so the other subcommands do not pay its import."""
+    """numpy is the only runtime dependency: neither the CLI nor the phantom's blur loads scipy."""
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, defreg.cli; print('scipy' in sys.modules)"],
+                           "import sys, defreg.cli; print('scipy' in sys.modules); "
+                           "from defreg.phantom import PhantomSpec, make_phantom; "
+                           "make_phantom(PhantomSpec()); print('scipy' in sys.modules)"],
                           env=_cli_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
 
 
 @pytest.fixture(scope="module")

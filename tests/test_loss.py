@@ -1,5 +1,8 @@
 """Loss terms: analytic values, brute-force oracles, finite-difference gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -300,3 +303,38 @@ class TestTotalLoss:
         with pytest.raises(DomainError):
             total_loss(Image2D(rng.random((8, 8))), Image2D(rng.random((8, 9))),
                        None, None, make_grid(8, 8, 4.0), LossWeights())
+
+
+class TestForwardBackward:
+    """``total_loss(with_grad=False)`` is the forward pass; ``backward()`` on its
+    report gives exactly the gradients of a ``with_grad=True`` evaluation."""
+
+    @pytest.mark.parametrize("case", ["supervised", "unsupervised", "delta0"])
+    def test_backward_equals_with_grad(self, case):
+        fixed, moving, foh, moh, grid = _random_problem(13)
+        w = LossWeights(delta=0.0) if case == "delta0" else LossWeights()
+        if case == "unsupervised":
+            foh = moh = None
+        full = total_loss(fixed, moving, foh, moh, grid, w)
+        rep = total_loss(fixed, moving, foh, moh, grid, w, with_grad=False)
+        assert rep.grad_total is None and rep.forward is not None
+        grad = rep.backward()
+        assert rep.forward is None  # the forward state is released
+        assert grad is rep.grad_total
+        assert rep.total == full.total
+        for name in ("grad_d", "grad_r", "grad_b", "grad_total"):
+            assert np.array_equal(getattr(rep, name), getattr(full, name)), name
+        assert rep.backward() is grad  # a second call changes nothing
+
+    def test_forward_report_freed_without_cycle_collector(self):
+        """A report and its forward state form no reference cycle, so dropping
+        the last reference frees them even with the cycle collector off."""
+        fixed, moving, foh, moh, grid = _random_problem(14)
+        gc.disable()
+        try:
+            rep = total_loss(fixed, moving, foh, moh, grid, LossWeights(), with_grad=False)
+            ref = weakref.ref(rep)
+            del rep
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -14,6 +14,7 @@ from defreg import (
     make_pair,
     register,
 )
+from defreg import solver
 from defreg.image import Image2D, LabelMap
 
 
@@ -100,6 +101,25 @@ class TestOptimizerBehaviour:
         assert np.array_equal(a.field.u, b.field.u)
         assert np.array_equal(a.grid.coeffs, b.grid.coeffs)
         assert a.report_dict() == b.report_dict()
+
+    def test_no_coefficients_evaluated_twice_in_a_row(self, monkeypatch):
+        """An accepted line-search trial is the next point: its forward pass is
+        reused, so no evaluation repeats the coefficients of the one before."""
+        seen = []
+        original = solver.total_loss
+
+        def counting_total_loss(*args, **kwargs):
+            seen.append(args[4].coeffs.copy())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "total_loss", counting_total_loss)
+        pair = small_pair(seed=2, magnitude=2.0)
+        res = register(pair.fixed_image, pair.moving_image,
+                       pair.fixed_labels, pair.moving_labels, FAST)
+        accepted = sum(len(t.losses) - 1 for t in res.level_traces)
+        assert accepted > 0
+        assert not any(a.shape == b.shape and np.array_equal(a, b)
+                       for a, b in zip(seen, seen[1:]))
 
     def test_report_dict_has_no_wall_clock(self):
         pair = small_pair(seed=0, magnitude=1.0)
