@@ -230,26 +230,17 @@ def random_smooth_deformation(width: int, height: int, magnitude_px: float,
 # warping
 
 
-@lru_cache(maxsize=8)
-def _pixel_grid(height: int, width: int):
-    """Read-only pixel positions (xx, yy) of a height x width grid; fixed for a pyramid level."""
-    xx, yy = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-    xx.flags.writeable = False
-    yy.flags.writeable = False
-    return xx, yy
-
-
 def sample_coords(field: DisplacementField):
     """Per-pixel sample positions x + u(x) as (px, py)."""
-    xx, yy = _pixel_grid(field.height, field.width)
+    h, w = field.height, field.width
+    xx, yy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     return xx + field.u[..., 0], yy + field.u[..., 1]
 
 
 def warp_image(m: Image2D, field: DisplacementField) -> Image2D:
     """Resample the moving image at x + u(x) with bilinear interpolation."""
     geom = SampleGeometry(*sample_coords(field), m.data.shape)
-    return Image2D(bilinear_sample_with_grad(m.data, geom, with_grad=False)[0],
-                   spacing=m.spacing)
+    return Image2D(bilinear_sample_with_grad(m.data, geom), spacing=m.spacing)
 
 
 def warp_labels(lab: LabelMap, field: DisplacementField) -> LabelMap:

@@ -164,28 +164,24 @@ def _corners(data: np.ndarray, g: SampleGeometry):
     return data.take(g.i00), data.take(g.i01), data.take(g.i10), data.take(g.i11)
 
 
-def _slopes(v00, v01, v10, v11, g: SampleGeometry):
-    ddx = g.gy * (v01 - v00) + g.fy * (v11 - v10)
-    ddy = g.gx * (v10 - v00) + g.fx * (v11 - v01)
-    # a clamped coordinate no longer moves the sample, so its derivative is zero;
-    # the other axis keeps its usual interpolant derivative
-    return ddx * g.in_x, ddy * g.in_y
+def bilinear_sample_with_grad(data: np.ndarray, g: SampleGeometry) -> np.ndarray:
+    """Bilinear interpolation of ``data`` at the geometry's points.
 
-
-def bilinear_sample_with_grad(data: np.ndarray, g: SampleGeometry, with_grad: bool = True):
-    """Bilinear interpolation of ``data`` at the geometry's points, plus the
-    derivatives of the values w.r.t. the sample coordinates (``None`` for both
-    without ``with_grad``)."""
+    Values only: the coordinate derivatives come from :func:`bilinear_slopes`.
+    The name is kept because ``perfbench/run.py`` wraps it by that name."""
     v00, v01, v10, v11 = _corners(data, g)
-    val = g.gy * (g.gx * v00 + g.fx * v01) + g.fy * (g.gx * v10 + g.fx * v11)
-    if not with_grad:
-        return val, None, None
-    return (val, *_slopes(v00, v01, v10, v11, g))
+    return g.gy * (g.gx * v00 + g.fx * v01) + g.fy * (g.gx * v10 + g.fx * v11)
 
 
 def bilinear_slopes(data: np.ndarray, g: SampleGeometry):
-    """The derivatives part of :func:`bilinear_sample_with_grad` alone, as (ddx, ddy)."""
-    return _slopes(*_corners(data, g), g)
+    """Derivatives of the bilinear interpolant w.r.t. the sample coordinates, as (ddx, ddy).
+
+    A clamped coordinate no longer moves the sample, so its derivative is
+    zero; the other axis keeps its usual interpolant derivative."""
+    v00, v01, v10, v11 = _corners(data, g)
+    ddx = g.gy * (v01 - v00) + g.fy * (v11 - v10)
+    ddy = g.gx * (v10 - v00) + g.fx * (v11 - v01)
+    return ddx * g.in_x, ddy * g.in_y
 
 
 def nearest_sample_many(labels: np.ndarray, px, py):
@@ -252,13 +248,7 @@ def laplacian_raw(data: np.ndarray, spacing: float) -> np.ndarray:
     """5-point Laplacian with replicated-edge padding on the boundary."""
     if data.shape[0] < 3 or data.shape[1] < 3:
         raise DomainError("laplacian needs at least 3 pixels per axis")
-    h, w = data.shape
-    p = np.empty((h + 2, w + 2))
-    p[1:-1, 1:-1] = data
-    p[0, 1:-1] = data[0]
-    p[-1, 1:-1] = data[-1]
-    p[:, 0] = p[:, 1]
-    p[:, -1] = p[:, -2]
+    p = np.pad(data, 1, mode="edge")
     return (
         p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * data
     ) / (spacing * spacing)

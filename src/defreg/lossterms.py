@@ -205,7 +205,7 @@ def total_loss(fixed: Image2D, moving: Image2D,
     d_value = 0.0
     ngf = None
     if w.delta != 0.0:
-        warped = bilinear_sample_with_grad(moving.data, geom, with_grad=False)[0]
+        warped = bilinear_sample_with_grad(moving.data, geom)
         d_value, ngf = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon)
 
     r_value, _ = curvature(fld, with_grad=False)
@@ -213,8 +213,7 @@ def total_loss(fixed: Image2D, moving: Image2D,
     b_value = 0.0
     b_grad_warped = None
     if use_boundary:
-        chans = [bilinear_sample_with_grad(ch, geom, with_grad=False)[0]
-                 for ch in moving_oh.channels]
+        chans = [bilinear_sample_with_grad(ch, geom) for ch in moving_oh.channels]
         b_value, b_grad_warped = boundary_ssd(
             fixed_oh, OneHotStack(np.stack(chans), spacing=moving_oh.spacing))
 

@@ -14,6 +14,7 @@ from defreg.bspline import ControlGrid, DisplacementField
 from defreg.image import (
     SampleGeometry,
     bilinear_sample_with_grad,
+    bilinear_slopes,
     central_gradient_raw,
     gradient_adjoint,
     laplacian_adjoint,
@@ -29,7 +30,8 @@ def ramp_x(w=8, h=6, spacing=1.0):
 
 def bilinear(data, px, py):
     """Values and coordinate derivatives of ``data`` sampled at (px, py)."""
-    return bilinear_sample_with_grad(data, SampleGeometry(px, py, data.shape))
+    geom = SampleGeometry(px, py, data.shape)
+    return (bilinear_sample_with_grad(data, geom), *bilinear_slopes(data, geom))
 
 
 def bilinear_at(img, p):
