@@ -154,6 +154,33 @@ def _pixel_basis(count: int, spacing: float, n: int) -> np.ndarray:
     return out
 
 
+def _second_difference(b: np.ndarray) -> np.ndarray:
+    """Edge-replicated second difference along axis 0: p[:-2] + p[2:] - 2b."""
+    p = np.pad(b, ((1, 1), (0, 0)), mode="edge")
+    return p[:-2] + p[2:] - 2.0 * b
+
+
+@lru_cache(maxsize=32)
+def _curvature_factors(height: int, width: int, spacing: float, rows: int, cols: int):
+    """Read-only Gram matrices of a level, stacked as G = [Ly'Ly; Ly'By; By'Ly; By'By]
+    and H = [Bx'Bx; Lx'Bx; Bx'Lx; Lx'Lx] (' is the transpose). By, Bx are its pixel
+    basis matrices and Ly, Lx their second differences, so the Laplacian stencil of
+    u = By C Bx' is Ly C Bx' + By C Lx', of squared norm <C, K(C)>, K(C) = sum_i G_i C H_i."""
+    by = _pixel_basis(height, spacing, rows)
+    bx = _pixel_basis(width, spacing, cols)
+    ly, lx = _second_difference(by), _second_difference(bx)
+    g = np.concatenate([ly.T @ ly, ly.T @ by, by.T @ ly, by.T @ by])
+    h = np.concatenate([bx.T @ bx, lx.T @ bx, bx.T @ lx, lx.T @ lx])
+    g.flags.writeable = h.flags.writeable = False
+    return g, h
+
+
+def curvature_factors(grid: ControlGrid, width: int, height: int):
+    """The memoised :func:`_curvature_factors` of a grid covering width x height pixels."""
+    _check_coverage(grid, width, height)
+    return _curvature_factors(height, width, grid.spacing_px, grid.rows, grid.cols)
+
+
 def _expand(coeffs: np.ndarray, by: np.ndarray, bx: np.ndarray) -> np.ndarray:
     """Tensor-product expansion by @ coeffs[..., j] @ bx.T of both components."""
     return np.stack([by @ coeffs[..., j] @ bx.T for j in range(2)], axis=-1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +33,6 @@ __all__ = [
     "nearest_sample_many",
     "central_gradient_raw",
     "gradient_adjoint",
-    "laplacian_raw",
-    "laplacian_adjoint",
     "downsample",
     "normalize_intensity",
     "to_one_hot",
@@ -242,34 +240,6 @@ def gradient_adjoint(qx: np.ndarray, qy: np.ndarray, spacing: float) -> np.ndarr
     g[-1, :] += qy[-1, :] / h
     g[-2, :] -= qy[-1, :] / h
     return g
-
-
-def laplacian_raw(data: np.ndarray, spacing: float) -> np.ndarray:
-    """5-point Laplacian with replicated-edge padding on the boundary."""
-    if data.shape[0] < 3 or data.shape[1] < 3:
-        raise DomainError("laplacian needs at least 3 pixels per axis")
-    p = np.pad(data, 1, mode="edge")
-    return (
-        p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * data
-    ) / (spacing * spacing)
-
-
-def laplacian_adjoint(q: np.ndarray, spacing: float) -> np.ndarray:
-    """Transpose of :func:`laplacian_raw` (edge replication accumulates to edge pixels)."""
-    out = -4.0 * q
-    # up neighbor data[clip(y-1)]
-    out[:-1, :] += q[1:, :]
-    out[0, :] += q[0, :]
-    # down neighbor data[clip(y+1)]
-    out[1:, :] += q[:-1, :]
-    out[-1, :] += q[-1, :]
-    # left neighbor
-    out[:, :-1] += q[:, 1:]
-    out[:, 0] += q[:, 0]
-    # right neighbor
-    out[:, 1:] += q[:, :-1]
-    out[:, -1] += q[:, -1]
-    return out / (spacing * spacing)
 
 
 # ---------------------------------------------------------------------------

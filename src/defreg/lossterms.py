@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import ControlGrid, DisplacementField, densify, sample_coords, splat_to_grid
+from .bspline import (ControlGrid, DisplacementField, curvature_factors, densify, sample_coords,
+                      splat_to_grid)
 from .errors import ConfigurationError, DomainError
 from .image import (
     Image2D,
@@ -26,8 +27,6 @@ from .image import (
     bilinear_slopes,
     central_gradient_raw,
     gradient_adjoint,
-    laplacian_raw,
-    laplacian_adjoint,
 )
 
 __all__ = ["LossWeights", "LossReport", "ngf_distance", "curvature", "boundary_ssd", "total_loss"]
@@ -84,19 +83,20 @@ class LossReport:
         if s is None:
             return self.grad_total
         w = s.weights
-        du_d = du_b = np.zeros_like(s.fld.u)
+        # an absent term's gradient is zero; only present terms are splatted
+        self.grad_d = np.zeros_like(s.grid.coeffs)
+        self.grad_b = np.zeros_like(s.grid.coeffs)
         if s.ngf is not None:
             d_grad_warped = _ngf_adjoint(s.ngf, s.fld.spacing)
             dmx, dmy = bilinear_slopes(s.moving, s.geom)
             du_d = np.stack([d_grad_warped * dmx, d_grad_warped * dmy], axis=-1)
-        _, du_r = curvature(s.fld)
+            self.grad_d = splat_to_grid(du_d, s.grid)
+        _, self.grad_r = curvature(s.grid, s.fld.width, s.fld.height, s.fld.spacing)
         if s.b_grad is not None:
             dkx, dky = zip(*(bilinear_slopes(ch, s.geom) for ch in s.channels))
             du_b = np.stack([np.sum(s.b_grad * np.stack(dkx), axis=0),
                              np.sum(s.b_grad * np.stack(dky), axis=0)], axis=-1)
-        self.grad_d = splat_to_grid(du_d, s.grid)
-        self.grad_r = splat_to_grid(du_r, s.grid)
-        self.grad_b = splat_to_grid(du_b, s.grid)
+            self.grad_b = splat_to_grid(du_b, s.grid)
         self.grad_total = w.delta * self.grad_d + w.alpha * self.grad_r + w.beta * self.grad_b
         return self.grad_total
 
@@ -146,25 +146,20 @@ def ngf_distance(fixed: Image2D, warped: Image2D, epsilon: float = 0.1):
     return value, _ngf_adjoint(inter, fixed.spacing)
 
 
-def curvature(fld: DisplacementField, with_grad: bool = True):
-    """Curvature penalty 0.5 * integral of |Lap u_j|^2 and its gradient w.r.t. u
-    (``None`` without ``with_grad``).
-
-    Computed from the displacement u rather than y so the identity deformation
-    scores exactly zero; at interior pixels the two agree since the stencil
-    annihilates the identity part.
-    """
-    sp = fld.spacing
-    sp2 = sp * sp
-    lx = laplacian_raw(fld.u[..., 0], sp)
-    ly = laplacian_raw(fld.u[..., 1], sp)
-    value = 0.5 * sp2 * (np.sum(lx * lx) + np.sum(ly * ly))
-    if not with_grad:
-        return float(value), None
-    grad = np.empty_like(fld.u)
-    grad[..., 0] = sp2 * laplacian_adjoint(lx, sp)
-    grad[..., 1] = sp2 * laplacian_adjoint(ly, sp)
-    return float(value), grad
+def curvature(grid: ControlGrid, width: int, height: int, spacing: float):
+    """Curvature penalty 0.5 * integral of |Lap u_j|^2 of the grid's dense field on
+    a width x height level with pixel spacing ``spacing``, and its gradient w.r.t.
+    the coefficients: 0.5/sp^2 * sum_j <C_j, K(C_j)> and K(C_j)/sp^2 for the map K
+    of ``curvature_factors``, with no per-pixel work. Computed from u rather than
+    y, so the identity scores exactly zero."""
+    g, h = curvature_factors(grid, width, height)
+    rows, cols = grid.rows, grid.cols
+    # G @ C gives the four blocks G_i C_j of both components; laid side by side
+    # as (2 * rows, 4 * cols) they meet H's four stacked blocks in one product
+    gc = (g @ grid.coeffs.reshape(rows, 2 * cols)).reshape(4, rows, cols, 2)
+    k = (gc.transpose(1, 3, 0, 2).reshape(2 * rows, 4 * cols) @ h).reshape(rows, 2, cols)
+    grad = k.transpose(0, 2, 1) / (spacing * spacing)
+    return 0.5 * float(np.sum(grid.coeffs * grad)), grad
 
 
 def boundary_ssd(fixed_oh: OneHotStack, warped_oh: OneHotStack):
@@ -208,7 +203,7 @@ def total_loss(fixed: Image2D, moving: Image2D,
         warped = bilinear_sample_with_grad(moving.data, geom)
         d_value, ngf = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon)
 
-    r_value, _ = curvature(fld, with_grad=False)
+    r_value, _ = curvature(grid, fixed.width, fixed.height, fixed.spacing)
 
     b_value = 0.0
     b_grad_warped = None

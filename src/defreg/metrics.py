@@ -44,6 +44,8 @@ def evaluate_pair(fixed_lab: LabelMap, moving_lab: LabelMap,
     """Warp the moving labels through the field and score them against the fixed labels."""
     if fixed_lab.labels.shape != (fld.height, fld.width):
         raise DomainError("evaluate_pair: labels and field dimensions differ")
+    if moving_lab.labels.shape != (fld.height, fld.width):
+        raise DomainError("evaluate_pair: moving label map and field dimensions differ")
     if fixed_lab.num_classes != moving_lab.num_classes:
         raise DomainError("evaluate_pair: label maps disagree on num_classes")
     warped = warp_labels(moving_lab, fld)

@@ -64,9 +64,13 @@ class RegistrationResult:
     grid: ControlGrid
     field: DisplacementField
     level_traces: list
-    quality: DeformationQuality
     duration_s: float
     config: RegistrationConfig
+
+    @property
+    def quality(self) -> DeformationQuality:
+        """Computed on access, so a kept result does not hold the determinant map."""
+        return deformation_quality(self.field)
 
     def report_dict(self):
         """Deterministic report payload; wall-clock time deliberately excluded."""
@@ -177,6 +181,8 @@ def register(fixed: Image2D, moving: Image2D,
             raise DomainError("register: label maps disagree on num_classes")
         if fixed_lab.labels.shape != fixed.data.shape:
             raise DomainError("register: label map and image dimensions differ")
+        if moving_lab.labels.shape != moving.data.shape:
+            raise DomainError("register: moving label map and moving image dimensions differ")
     else:
         w = replace(w, beta=0.0)
 
@@ -213,10 +219,9 @@ def register(fixed: Image2D, moving: Image2D,
 
     fld = densify(grid, fixed.width, fixed.height)
     fld.spacing = fixed.spacing
-    quality = deformation_quality(fld)
     duration = time.perf_counter() - start
     return RegistrationResult(grid=grid, field=fld, level_traces=traces,
-                              quality=quality, duration_s=duration, config=cfg)
+                              duration_s=duration, config=cfg)
 
 
 def ablate(dataset, cfg: RegistrationConfig, parameter: str, factors):

@@ -17,8 +17,6 @@ from defreg.image import (
     bilinear_slopes,
     central_gradient_raw,
     gradient_adjoint,
-    laplacian_adjoint,
-    laplacian_raw,
     nearest_sample_many,
 )
 
@@ -155,30 +153,6 @@ class TestCentralGradient:
         gx, gy = central_gradient_raw(f, 0.7)
         lhs = np.sum(gx * qx) + np.sum(gy * qy)
         rhs = np.sum(f * gradient_adjoint(qx, qy, 0.7))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-class TestLaplacian:
-    def test_affine_zero_interior(self):
-        xx, yy = np.meshgrid(np.arange(7, dtype=float), np.arange(7, dtype=float))
-        lap = laplacian_raw(1.0 + 2 * xx - 3 * yy, 1.0)
-        np.testing.assert_allclose(lap[1:-1, 1:-1], 0.0, atol=1e-12)
-
-    def test_quadratic_interior(self):
-        xx, _ = np.meshgrid(np.arange(8, dtype=float), np.arange(6, dtype=float))
-        lap = laplacian_raw(xx**2, 1.0)
-        np.testing.assert_allclose(lap[1:-1, 1:-1], 2.0)
-
-    def test_constant_zero_everywhere(self):
-        lap = laplacian_raw(np.full((5, 6), 4.0), 1.0)
-        assert np.all(lap == 0)
-
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal((6, 8))
-        q = rng.standard_normal((6, 8))
-        lhs = np.sum(laplacian_raw(f, 1.3) * q)
-        rhs = np.sum(f * laplacian_adjoint(q, 1.3))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

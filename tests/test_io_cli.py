@@ -396,6 +396,9 @@ def bad_inputs(tmp_path):
         regio.write_raw_image(tmp_path / f"{name}.raw", Image2D(rng.random((32, 32))))
         (tmp_path / f"{name}.json").write_text(
             f'{{"width": 32, "height": 32, "spacing": {spacing}}}')
+    regio.write_field(tmp_path / "field.raw", DisplacementField(np.zeros((32, 32, 2))))
+    regio.write_label_pgm(tmp_path / "lab30.pgm",
+                          LabelMap(rng.integers(0, 2, (30, 30)), num_classes=2))
     (tmp_path / "bad.pgm").write_bytes(b"P5\nab 3\n255\n")
     (tmp_path / "negative.pgm").write_bytes(b"P5\n-1 2\n255\nabcd")
     (tmp_path / "zero.pgm").write_bytes(b"P5\n2 2\n0\n" + bytes(4))
@@ -423,6 +426,9 @@ BAD_INPUTS = {
                                          "--out", "{d}/s.csv"],
     "eval_manifest_without_labels": ["eval", "--manifest", "{d}/unlabeled.json",
                                      "--fields-dir", "{d}", "--out", "{d}/s.csv"],
+    "eval_moving_labels_wrong_size": ["eval", "--field", "{d}/field.raw",
+                                      "--fixed-labels", "{d}/lab.pgm",
+                                      "--moving-labels", "{d}/lab30.pgm", "--out", "{d}/e.json"],
     "ablate_manifest_without_labels": ["ablate", "--manifest", "{d}/unlabeled.json",
                                        "--param", "beta", "--out", "{d}/a.csv"],
     "ablate_bad_factor": ["ablate", "--manifest", "{d}/labeled.json", "--param", "beta",

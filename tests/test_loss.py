@@ -1,6 +1,7 @@
 """Loss terms: analytic values, brute-force oracles, finite-difference gradients."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,7 +20,13 @@ from defreg import (
     to_one_hot,
     total_loss,
 )
-from defreg.bspline import ControlGrid, DisplacementField, densify
+from defreg.bspline import (
+    ControlGrid,
+    _curvature_factors,
+    _pixel_basis,
+    curvature_factors,
+    densify,
+)
 from defreg.lossterms import ngf_integrand
 
 
@@ -108,57 +115,99 @@ class TestNgf:
             ngf_distance(Image2D(np.zeros((4, 4))), Image2D(np.zeros((4, 5))))
 
 
+def random_grid(width, height, control, seed):
+    rng = np.random.default_rng(seed)
+    return ControlGrid(control, rng.normal(size=make_grid(width, height, control).coeffs.shape))
+
+
 class TestCurvature:
     def test_zero_displacement_zero(self):
-        fld = DisplacementField(np.zeros((10, 10, 2)))
-        value, grad = curvature(fld)
+        value, grad = curvature(make_grid(10, 10, 4.0), 10, 10, 1.0)
         assert value == 0.0
         assert np.all(grad == 0.0)
 
     def test_translation_zero(self):
-        u = np.zeros((10, 12, 2))
-        u[..., 0] = 3.0
-        u[..., 1] = -1.5
-        value, _ = curvature(DisplacementField(u))
-        assert value == 0.0
+        # a constant grid is a translation, whose Laplacian vanishes; rounding
+        # enters through the Gram products, so the value is tiny but not exactly 0
+        grid = make_grid(12, 10, 4.0)
+        grid.coeffs[..., 0] = 3.0
+        grid.coeffs[..., 1] = -1.5
+        value, grad = curvature(grid, 12, 10, 1.0)
+        assert abs(value) <= 1e-12
+        assert np.abs(grad).max() <= 1e-12
 
     def test_quadratic_interior_integrand(self):
-        # u1 = x^2 has Laplacian 2 at interior pixels, so each interior pixel
-        # contributes 0.5 * 2^2 = 2 to the sum.
-        h, w = 12, 12
-        xx = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))[0]
-        u = np.zeros((h, w, 2))
-        u[..., 0] = xx * xx
-        from defreg.image import laplacian_raw
-
-        lap = laplacian_raw(u[..., 0], 1.0)
-        assert np.allclose(lap[1:-1, 1:-1], 2.0)
-        value, _ = curvature(DisplacementField(u))
+        # coefficients ((k-1)s)^2 - s^2/3 reproduce u1 = x^2, whose Laplacian is 2
+        # at interior pixels, so each interior pixel contributes 0.5 * 2^2 = 2
+        h, w, s = 12, 12, 4.0
+        grid = make_grid(w, h, s)
+        k = np.arange(grid.cols, dtype=float)
+        grid.coeffs[..., 0] = ((k - 1.0) * s) ** 2 - s * s / 3.0
+        xx = np.arange(w, dtype=float)
+        np.testing.assert_allclose(densify(grid, w, h).u[..., 0], np.broadcast_to(xx**2, (h, w)),
+                                   atol=1e-9)
+        value, _ = curvature(grid, w, h, 1.0)
         # value includes the replicated-edge boundary rows; check the interior
-        # contribution is present exactly.
+        # contribution is present
         assert value >= 0.5 * 4.0 * (h - 2) * (w - 2)
 
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(9)
-        u = rng.normal(size=(8, 8, 2))
-        value, grad = curvature(DisplacementField(u))
+        grid = random_grid(8, 8, 3.0, seed=9)
+        value, grad = curvature(grid, 8, 8, 1.0)
         h = 1e-6
-        for (i, j, k) in [(0, 0, 0), (3, 4, 1), (7, 7, 0), (2, 6, 1)]:
-            bumped = u.copy()
-            bumped[i, j, k] += h
-            vp, _ = curvature(DisplacementField(bumped))
-            bumped[i, j, k] -= 2 * h
-            vm, _ = curvature(DisplacementField(bumped))
+        for idx in [(0, 0, 0), (2, 3, 1), (5, 5, 0), (1, 4, 1)]:
+            bumped = grid.coeffs.copy()
+            bumped[idx] += h
+            vp, _ = curvature(ControlGrid(3.0, bumped), 8, 8, 1.0)
+            bumped[idx] -= 2 * h
+            vm, _ = curvature(ControlGrid(3.0, bumped), 8, 8, 1.0)
             fd = (vp - vm) / (2 * h)
-            assert grad[i, j, k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_spacing_scaling(self):
-        rng = np.random.default_rng(2)
-        u = rng.normal(size=(9, 9, 2))
-        v1, _ = curvature(DisplacementField(u, spacing=1.0))
-        v2, _ = curvature(DisplacementField(u, spacing=2.0))
+        grid = random_grid(9, 9, 3.0, seed=2)
+        v1, _ = curvature(grid, 9, 9, 1.0)
+        v2, _ = curvature(grid, 9, 9, 2.0)
         # Laplacian scales by 1/sp^2, integrand squares it, area adds sp^2.
         assert v2 == pytest.approx(v1 / 4.0, rel=1e-12)
+
+    def test_factor_memo_is_read_only_and_keyed_by_height(self):
+        # 16 and 17 px rows both need a 5-row grid at spacing 8, so a memo keyed
+        # without the height would score the 17 px level with the 16 px factors
+        for height in (16, 17):
+            grid = random_grid(20, height, 8.0, seed=height)
+            assert grid.rows == 5
+            u = densify(grid, 20, height).u
+            p = np.pad(u, ((1, 1), (1, 1), (0, 0)), mode="edge")
+            lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * u
+            value, _ = curvature(grid, 20, height, 1.0)
+            assert value == pytest.approx(0.5 * np.sum(lap * lap), rel=1e-12)
+        for m in curvature_factors(grid, 20, 17):  # the stacked G and H
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+    def test_factors_at_2048_px_are_small(self):
+        _curvature_factors.cache_clear()
+        _pixel_basis.cache_clear()
+        grid = make_grid(2048, 2040, 8.0)
+        tracemalloc.start()
+        try:
+            g, h = curvature_factors(grid, 2048, 2040)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _curvature_factors.cache_clear()
+            _pixel_basis.cache_clear()
+        # four stacked (rows, rows) blocks and four stacked (cols, cols) blocks
+        assert (grid.rows, grid.cols) == (258, 259)
+        assert g.shape == (4 * grid.rows, grid.rows)
+        assert h.shape == (4 * grid.cols, grid.cols)
+        assert peak < 32 * 2**20
+
+    def test_uncovered_grid_rejected(self):
+        with pytest.raises(ConfigurationError):
+            curvature(make_grid(8, 8, 4.0), 16, 8, 1.0)
 
 
 class TestBoundarySsd:

@@ -1,6 +1,7 @@
 """Property tests of the operators the loss is built from, at random sizes and spacings.
 
-Each adjoint pair must satisfy <A f, q> = <f, A^T q>, and the analytic
+Each adjoint pair must satisfy <A f, q> = <f, A^T q>, the coefficient-space
+curvature must match the pixel Laplacian of the dense field, and the analytic
 gradient of the combined loss must match finite differences even where
 samples are clamped outside the domain.
 """
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from defreg import Image2D, LabelMap, LossWeights, make_grid, to_one_hot, total_loss
+from defreg import Image2D, LabelMap, LossWeights, curvature, make_grid, to_one_hot, total_loss
 from defreg.bspline import ControlGrid, densify, splat_to_grid
-from defreg.image import central_gradient_raw, gradient_adjoint, laplacian_adjoint, laplacian_raw
+from defreg.image import central_gradient_raw, gradient_adjoint
 from defreg.phantom import _gaussian_blur
 
 SIZES = st.integers(3, 23)
@@ -43,25 +44,44 @@ def test_gradient_adjoint_identity(w, h, spacing, seed):
         np.sum(f * gradient_adjoint(qx, qy, spacing)), rel=1e-10, abs=1e-10)
 
 
+def _clipped_neighbours(h, w):
+    """Index pairs of the up, down, left and right neighbours, clipped to the grid."""
+    y, x = np.broadcast_arrays(np.arange(h)[:, None], np.arange(w)[None, :])
+    return [(np.clip(y - 1, 0, h - 1), x), (np.clip(y + 1, 0, h - 1), x),
+            (y, np.clip(x - 1, 0, w - 1)), (y, np.clip(x + 1, 0, w - 1))]
+
+
+def laplacian_oracle(f, spacing):
+    """Edge-replicated 5-point Laplacian: the stencil with neighbour indices clipped."""
+    return (sum(f[n] for n in _clipped_neighbours(*f.shape)) - 4.0 * f) / (spacing * spacing)
+
+
+def laplacian_oracle_adjoint(q, spacing):
+    """Transpose of :func:`laplacian_oracle`: each neighbour reference scatters back."""
+    out = -4.0 * q
+    for n in _clipped_neighbours(*q.shape):
+        np.add.at(out, n, q)
+    return out / (spacing * spacing)
+
+
 @PROPERTY
-@given(w=SIZES, h=SIZES, spacing=SPACINGS, seed=SEEDS)
-def test_laplacian_adjoint_identity(w, h, spacing, seed):
+@given(w=SIZES, h=SIZES, control=st.just(2.5) | st.floats(1.0, 9.0), spacing=SPACINGS,
+       seed=SEEDS)
+def test_curvature_matches_pixel_laplacian_oracle(w, h, control, spacing, seed):
+    """R of a grid is 0.5 * sp^2 * sum_j |Lap u_j|^2 of its dense field, and its
+    gradient is the splat of that expression's gradient w.r.t. u."""
     rng = np.random.default_rng(seed)
-    f, q = rng.standard_normal((2, h, w))
-    assert np.sum(laplacian_raw(f, spacing) * q) == pytest.approx(
-        np.sum(f * laplacian_adjoint(q, spacing)), rel=1e-10, abs=1e-10)
-
-
-@PROPERTY
-@given(w=SIZES, h=SIZES, spacing=SPACINGS, seed=SEEDS)
-def test_laplacian_matches_clipped_neighbour_oracle(w, h, spacing, seed):
-    """Edge replication is the stencil with neighbour indices clipped to the grid."""
-    f = np.random.default_rng(seed).standard_normal((h, w))
-    y, x = np.arange(h)[:, None], np.arange(w)[None, :]
-    up, down = f[np.clip(y - 1, 0, h - 1), x], f[np.clip(y + 1, 0, h - 1), x]
-    left, right = f[y, np.clip(x - 1, 0, w - 1)], f[y, np.clip(x + 1, 0, w - 1)]
-    oracle = (up + down + left + right - 4.0 * f) / (spacing * spacing)
-    assert np.array_equal(laplacian_raw(f, spacing), oracle)
+    grid = ControlGrid(control, rng.standard_normal(make_grid(w, h, control).coeffs.shape))
+    u = densify(grid, w, h).u
+    laps = [laplacian_oracle(u[..., j], spacing) for j in range(2)]
+    sp2 = spacing * spacing
+    expected = 0.5 * sp2 * sum(np.sum(lap * lap) for lap in laps)
+    du = np.stack([sp2 * laplacian_oracle_adjoint(lap, spacing) for lap in laps], axis=-1)
+    expected_grad = splat_to_grid(du, grid)
+    value, grad = curvature(grid, w, h, spacing)
+    assert value == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_allclose(grad, expected_grad, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected_grad).max())
 
 
 @settings(max_examples=15, deadline=None)

@@ -166,6 +166,15 @@ class TestValidation:
             register(pair.fixed_image, pair.moving_image,
                      pair.fixed_labels, None, FAST)
 
+    def test_moving_label_map_of_wrong_size_rejected(self):
+        from defreg.errors import DomainError
+
+        pair = small_pair()
+        small = LabelMap(pair.moving_labels.labels[:-2, :-2],
+                         num_classes=pair.moving_labels.num_classes)
+        with pytest.raises(DomainError, match="moving label map"):
+            register(pair.fixed_image, pair.moving_image, pair.fixed_labels, small, FAST)
+
 
 @pytest.fixture(scope="module")
 def dataset():
