@@ -23,7 +23,7 @@ from .image import (
     normalize_intensity,
     to_one_hot,
 )
-from .lossterms import LossReport, LossWeights, boundary_ssd, curvature, ngf_distance, total_loss
+from .lossterms import LossReport, LossWeights, boundary_ssd, curvature, total_loss
 from .metrics import EvalReport, dice, difference_image, evaluate_pair
 from .phantom import PhantomPair, PhantomSpec, make_pair, make_phantom
 from .solver import RegistrationConfig, RegistrationResult, ablate, register

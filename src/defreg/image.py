@@ -33,6 +33,7 @@ __all__ = [
     "nearest_sample_many",
     "central_gradient_raw",
     "gradient_adjoint",
+    "block_mean",
     "downsample",
     "normalize_intensity",
     "to_one_hot",
@@ -246,15 +247,18 @@ def gradient_adjoint(qx: np.ndarray, qy: np.ndarray, spacing: float) -> np.ndarr
 # pyramids and normalization
 
 
+def block_mean(data: np.ndarray) -> np.ndarray:
+    """2x2 block means over the last two axes; odd sizes are edge-padded first."""
+    *lead, h, w = data.shape
+    if h % 2 or w % 2:
+        data = np.pad(data, [(0, 0)] * len(lead) + [(0, h % 2), (0, w % 2)], mode="edge")
+        h, w = h + h % 2, w + w % 2
+    return data.reshape(*lead, h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
+
+
 def downsample(img: Image2D) -> Image2D:
     """Factor-2 reduction by 2x2 block averaging; odd sizes are edge-padded first."""
-    data = img.data
-    h, w = data.shape
-    if h % 2 or w % 2:
-        data = np.pad(data, ((0, h % 2), (0, w % 2)), mode="edge")
-        h, w = data.shape
-    small = data.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-    return Image2D(small, spacing=img.spacing * 2.0)
+    return Image2D(block_mean(img.data), spacing=img.spacing * 2.0)
 
 
 def normalize_intensity(img: Image2D) -> Image2D:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import (ControlGrid, DisplacementField, curvature_factors, densify, sample_coords,
-                      splat_to_grid)
+from .bspline import ControlGrid, curvature_factors, densify, sample_coords, splat_to_grid
 from .errors import ConfigurationError, DomainError
 from .image import (
     Image2D,
@@ -29,7 +28,7 @@ from .image import (
     gradient_adjoint,
 )
 
-__all__ = ["LossWeights", "LossReport", "ngf_distance", "curvature", "boundary_ssd", "total_loss"]
+__all__ = ["LossWeights", "LossReport", "curvature", "boundary_ssd", "total_loss"]
 
 
 @dataclass
@@ -48,20 +47,20 @@ class LossWeights:
 
 @dataclass(frozen=True, slots=True)
 class _ForwardState:
-    """What the backward pass of one :func:`total_loss` evaluation needs.
-
-    It holds arrays only, never the report it belongs to, so a report and its
-    state are freed by reference counting as soon as the caller drops them.
+    """What the backward pass of one :func:`total_loss` evaluation needs: bare
+    arrays, from which :meth:`LossReport.backward` builds the cotangents only
+    for the trials a caller accepts. It holds no reference to its report, so
+    both are freed by reference counting as soon as the caller drops them.
     """
 
     grid: ControlGrid
     weights: LossWeights
-    fld: DisplacementField
+    spacing: float  # pixel spacing of the level
     geom: SampleGeometry
     moving: np.ndarray
     ngf: tuple | None  # the NGF adjoint's intermediates, None without the distance term
     channels: np.ndarray | None  # moving one-hot channels, None without the boundary term
-    b_grad: np.ndarray | None  # boundary gradient w.r.t. the warped channels
+    b_diff: np.ndarray | None  # warped minus fixed one-hot channels
 
 
 @dataclass
@@ -71,14 +70,16 @@ class LossReport:
     b_value: float
     total: float
     grad_d: np.ndarray | None = None  # per-term gradients w.r.t. control coefficients
-    grad_r: np.ndarray | None = None
+    grad_r: np.ndarray | None = None  # set by the forward pass, the others by backward()
     grad_b: np.ndarray | None = None
     grad_total: np.ndarray | None = None
     forward: _ForwardState | None = field(default=None, repr=False, compare=False)
 
     def backward(self) -> np.ndarray:
-        """Fill the four gradients from the stored forward state, release that
-        state, and return ``grad_total``; a second call only returns it."""
+        """Build the NGF and boundary cotangents from the stored forward state,
+        fill ``grad_d``, ``grad_b`` and ``grad_total`` (the forward pass set
+        ``grad_r``), release that state and return ``grad_total``; a second
+        call only returns it."""
         s, self.forward = self.forward, None
         if s is None:
             return self.grad_total
@@ -87,15 +88,16 @@ class LossReport:
         self.grad_d = np.zeros_like(s.grid.coeffs)
         self.grad_b = np.zeros_like(s.grid.coeffs)
         if s.ngf is not None:
-            d_grad_warped = _ngf_adjoint(s.ngf, s.fld.spacing)
+            d_grad_warped = _ngf_adjoint(s.ngf, s.spacing)
             dmx, dmy = bilinear_slopes(s.moving, s.geom)
             du_d = np.stack([d_grad_warped * dmx, d_grad_warped * dmy], axis=-1)
             self.grad_d = splat_to_grid(du_d, s.grid)
-        _, self.grad_r = curvature(s.grid, s.fld.width, s.fld.height, s.fld.spacing)
-        if s.b_grad is not None:
+        if s.b_diff is not None:
+            b_grad = s.b_diff  # the state is released: scale its difference in place
+            b_grad *= s.spacing * s.spacing
             dkx, dky = zip(*(bilinear_slopes(ch, s.geom) for ch in s.channels))
-            du_b = np.stack([np.sum(s.b_grad * np.stack(dkx), axis=0),
-                             np.sum(s.b_grad * np.stack(dky), axis=0)], axis=-1)
+            du_b = np.stack([np.sum(b_grad * np.stack(dkx), axis=0),
+                             np.sum(b_grad * np.stack(dky), axis=0)], axis=-1)
             self.grad_b = splat_to_grid(du_b, s.grid)
         self.grad_total = w.delta * self.grad_d + w.alpha * self.grad_r + w.beta * self.grad_b
         return self.grad_total
@@ -133,19 +135,6 @@ def _ngf_adjoint(inter, spacing: float) -> np.ndarray:
     return gradient_adjoint(qx, qy, spacing)
 
 
-def ngf_distance(fixed: Image2D, warped: Image2D, epsilon: float = 0.1):
-    """Normalized-gradient-fields distance between two same-size images.
-
-    Returns (value, gradient w.r.t. the warped intensities); chaining that
-    gradient through the warp's positional derivatives yields the gradient
-    w.r.t. the sample positions.
-    """
-    if fixed.data.shape != warped.data.shape:
-        raise DomainError("ngf_distance: image dimensions differ")
-    value, inter = _ngf_core(fixed.data, warped.data, fixed.spacing, epsilon)
-    return value, _ngf_adjoint(inter, fixed.spacing)
-
-
 def curvature(grid: ControlGrid, width: int, height: int, spacing: float):
     """Curvature penalty 0.5 * integral of |Lap u_j|^2 of the grid's dense field on
     a width x height level with pixel spacing ``spacing``, and its gradient w.r.t.
@@ -162,14 +151,20 @@ def curvature(grid: ControlGrid, width: int, height: int, spacing: float):
     return 0.5 * float(np.sum(grid.coeffs * grad)), grad
 
 
+def _ssd_core(fixed_channels, warped_channels, spacing: float):
+    """Boundary SSD value and the difference ``warped - fixed`` its gradient is built from."""
+    sp2 = spacing * spacing
+    diff = warped_channels - fixed_channels
+    value = 0.5 * sp2 * np.sum(diff * diff)
+    return float(value), diff
+
+
 def boundary_ssd(fixed_oh: OneHotStack, warped_oh: OneHotStack):
     """0.5 * integral of the squared one-hot difference and its gradient w.r.t. warped channels."""
     if fixed_oh.channels.shape != warped_oh.channels.shape:
         raise DomainError("boundary_ssd: one-hot stacks differ in shape")
-    sp2 = fixed_oh.spacing * fixed_oh.spacing
-    diff = warped_oh.channels - fixed_oh.channels
-    value = 0.5 * sp2 * np.sum(diff * diff)
-    return float(value), sp2 * diff
+    value, diff = _ssd_core(fixed_oh.channels, warped_oh.channels, fixed_oh.spacing)
+    return value, fixed_oh.spacing * fixed_oh.spacing * diff
 
 
 def total_loss(fixed: Image2D, moving: Image2D,
@@ -177,9 +172,10 @@ def total_loss(fixed: Image2D, moving: Image2D,
                grid: ControlGrid, w: LossWeights, with_grad: bool = True) -> LossReport:
     """Evaluate the combined loss for a control grid and back-propagate to coefficients.
 
-    This is the forward pass; the report keeps what the backward pass needs,
-    and ``report.backward()`` fills the gradients later. ``with_grad`` runs
-    the backward pass at once.
+    This is the forward pass: the three values (B's from the kernel that
+    :func:`boundary_ssd` uses) and the curvature gradient, which costs nothing
+    more. The report keeps bare arrays, from which ``report.backward()`` builds
+    the other gradients later; ``with_grad`` runs it at once.
 
     With beta = 0 (or stacks absent) the boundary term is skipped entirely;
     with delta = 0 the image distance is skipped, leaving the purely
@@ -192,10 +188,11 @@ def total_loss(fixed: Image2D, moving: Image2D,
         raise DomainError("total_loss: fixed one-hot supplied without moving one-hot")
     if use_boundary and fixed_oh.channels.shape != moving_oh.channels.shape:
         raise DomainError("total_loss: one-hot channel mismatch")
+    if use_boundary and fixed_oh.spacing != fixed.spacing:
+        raise DomainError("total_loss: one-hot and image spacings differ")
 
-    fld = densify(grid, fixed.width, fixed.height)
-    fld.spacing = fixed.spacing
-    geom = SampleGeometry(*sample_coords(fld), moving.data.shape)
+    geom = SampleGeometry(*sample_coords(densify(grid, fixed.width, fixed.height)),
+                          moving.data.shape)
 
     d_value = 0.0
     ngf = None
@@ -203,20 +200,19 @@ def total_loss(fixed: Image2D, moving: Image2D,
         warped = bilinear_sample_with_grad(moving.data, geom)
         d_value, ngf = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon)
 
-    r_value, _ = curvature(grid, fixed.width, fixed.height, fixed.spacing)
+    r_value, grad_r = curvature(grid, fixed.width, fixed.height, fixed.spacing)
 
     b_value = 0.0
-    b_grad_warped = None
+    b_diff = None
     if use_boundary:
-        chans = [bilinear_sample_with_grad(ch, geom) for ch in moving_oh.channels]
-        b_value, b_grad_warped = boundary_ssd(
-            fixed_oh, OneHotStack(np.stack(chans), spacing=moving_oh.spacing))
+        warped_chans = np.stack([bilinear_sample_with_grad(ch, geom) for ch in moving_oh.channels])
+        b_value, b_diff = _ssd_core(fixed_oh.channels, warped_chans, fixed.spacing)
 
     total = w.delta * d_value + w.alpha * r_value + w.beta * b_value
     report = LossReport(
-        d_value=d_value, r_value=r_value, b_value=b_value, total=float(total),
-        forward=_ForwardState(grid, w, fld, geom, moving.data, ngf,
-                              moving_oh.channels if use_boundary else None, b_grad_warped))
+        d_value=d_value, r_value=r_value, b_value=b_value, total=float(total), grad_r=grad_r,
+        forward=_ForwardState(grid, w, fixed.spacing, geom, moving.data, ngf,
+                              moving_oh.channels if use_boundary else None, b_diff))
     if with_grad:
         report.backward()
     return report

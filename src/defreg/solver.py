@@ -23,7 +23,7 @@ from .bspline import (
     prolongate,
 )
 from .errors import ConfigurationError, DomainError, NumericalError
-from .image import Image2D, LabelMap, OneHotStack, downsample, to_one_hot
+from .image import Image2D, LabelMap, OneHotStack, block_mean, downsample, to_one_hot
 from .lossterms import LossWeights, total_loss
 
 __all__ = ["RegistrationConfig", "LevelTrace", "RegistrationResult", "register", "ablate"]
@@ -101,13 +101,11 @@ def _build_pyramid(img: Image2D, levels: int):
 
 
 def _build_onehot_pyramid(lab: LabelMap, levels: int, spacing: float):
-    """One-hot at full resolution, then block-averaged per channel per level."""
-    stack = to_one_hot(lab, spacing=spacing)
-    pyr = [stack]
+    """One-hot at full resolution, then the whole stack block-averaged per level."""
+    pyr = [to_one_hot(lab, spacing=spacing)]
     for _ in range(levels - 1):
         prev = pyr[-1]
-        chans = [downsample(Image2D(c, spacing=prev.spacing)) for c in prev.channels]
-        pyr.append(OneHotStack(np.stack([c.data for c in chans]), spacing=chans[0].spacing))
+        pyr.append(OneHotStack(block_mean(prev.channels), spacing=prev.spacing * 2.0))
     return pyr
 
 

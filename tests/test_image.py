@@ -15,6 +15,7 @@ from defreg.image import (
     SampleGeometry,
     bilinear_sample_with_grad,
     bilinear_slopes,
+    block_mean,
     central_gradient_raw,
     gradient_adjoint,
     nearest_sample_many,
@@ -182,6 +183,14 @@ class TestDownsample:
         out = downsample(Image2D(np.ones((5, 7))))
         assert out.data.shape == (3, 4)
         np.testing.assert_allclose(out.data, 1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (4, 37, 50)])
+    def test_stack_matches_each_channel_bit_for_bit(self, shape):
+        # the one-hot pyramid averages a whole (K, H, W) stack in one call
+        stack = np.random.default_rng(3).random(shape)
+        whole = block_mean(stack)
+        for k, ch in enumerate(stack):
+            assert whole[k].tobytes() == downsample(Image2D(ch)).data.tobytes()
 
 
 class TestNormalize:

@@ -16,7 +16,6 @@ from defreg import (
     boundary_ssd,
     curvature,
     make_grid,
-    ngf_distance,
     to_one_hot,
     total_loss,
 )
@@ -26,8 +25,10 @@ from defreg.bspline import (
     _pixel_basis,
     curvature_factors,
     densify,
+    sample_coords,
 )
-from defreg.lossterms import ngf_integrand
+from defreg.image import OneHotStack, SampleGeometry, bilinear_sample_with_grad
+from defreg.lossterms import _ngf_adjoint, _ngf_core, ngf_integrand
 
 
 def ngf_value_oracle(fixed, warped, epsilon):
@@ -56,14 +57,12 @@ class TestNgf:
 
     def test_identical_images_zero(self):
         rng = np.random.default_rng(0)
-        img = Image2D(rng.random((12, 17)))
-        value, _ = ngf_distance(img, img)
+        img = rng.random((12, 17))
+        value, _ = _ngf_core(img, img, 1.0, 0.1)
         assert value == 0.0
 
     def test_constant_images_zero(self):
-        a = Image2D(np.full((9, 9), 0.3))
-        b = Image2D(np.full((9, 9), 0.8))
-        value, _ = ngf_distance(a, b)
+        value, _ = _ngf_core(np.full((9, 9), 0.3), np.full((9, 9), 0.8), 1.0, 0.1)
         assert value == 0.0
 
     def test_orthogonal_ramps_analytic(self):
@@ -72,7 +71,7 @@ class TestNgf:
         # integrand is 1 - eps^4 / (1 + eps^2)^2 at every pixel.
         h, w, eps = 11, 13, 0.1
         xx, yy = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-        value, _ = ngf_distance(Image2D(xx), Image2D(yy), epsilon=eps)
+        value, _ = _ngf_core(xx, yy, 1.0, eps)
         per_px = 1.0 - eps**4 / (1.0 + eps**2) ** 2
         assert value == pytest.approx(0.5 * h * w * per_px, rel=1e-12)
 
@@ -81,7 +80,7 @@ class TestNgf:
         # exactly the analytic eps-blurred residual.
         h, w, eps = 8, 8, 0.1
         xx = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))[0]
-        value, _ = ngf_distance(Image2D(xx), Image2D(2.0 * xx), epsilon=eps)
+        value, _ = _ngf_core(xx, 2.0 * xx, 1.0, eps)
         e2 = eps * eps
         per_px = 1.0 - (2.0 + e2) ** 2 / ((4.0 + e2) * (1.0 + e2))
         assert value == pytest.approx(0.5 * h * w * per_px, rel=1e-12)
@@ -92,27 +91,24 @@ class TestNgf:
         for spacing in (1.0, 2.5):
             f = Image2D(rng.random((14, 10)), spacing=spacing)
             m = Image2D(rng.random((14, 10)), spacing=spacing)
-            value, _ = ngf_distance(f, m, epsilon=0.1)
+            value, _ = _ngf_core(f.data, m.data, spacing, 0.1)
             assert value == pytest.approx(ngf_value_oracle(f, m, 0.1), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        f = Image2D(rng.random((9, 9)))
-        m = Image2D(rng.random((9, 9)))
-        value, grad = ngf_distance(f, m)
+        f = rng.random((9, 9))
+        m = rng.random((9, 9))
+        _, inter = _ngf_core(f, m, 1.0, 0.1)
+        grad = _ngf_adjoint(inter, 1.0)
         h = 1e-6
         for (i, j) in [(0, 0), (4, 4), (8, 3), (2, 7)]:
-            bumped = m.data.copy()
+            bumped = m.copy()
             bumped[i, j] += h
-            vp, _ = ngf_distance(f, Image2D(bumped))
+            vp, _ = _ngf_core(f, bumped, 1.0, 0.1)
             bumped[i, j] -= 2 * h
-            vm, _ = ngf_distance(f, Image2D(bumped))
+            vm, _ = _ngf_core(f, bumped, 1.0, 0.1)
             fd = (vp - vm) / (2 * h)
             assert grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            ngf_distance(Image2D(np.zeros((4, 4))), Image2D(np.zeros((4, 5))))
 
 
 def random_grid(width, height, control, seed):
@@ -352,6 +348,21 @@ class TestTotalLoss:
         with pytest.raises(DomainError):
             total_loss(Image2D(rng.random((8, 8))), Image2D(rng.random((8, 9))),
                        None, None, make_grid(8, 8, 4.0), LossWeights())
+
+    def test_onehot_spacing_mismatch_rejected(self):
+        fixed, moving, foh, moh, grid = _random_problem(10)
+        foh.spacing = 2.0
+        with pytest.raises(DomainError):
+            total_loss(fixed, moving, foh, moh, grid, LossWeights())
+
+    def test_boundary_value_is_boundary_ssd_bit_for_bit(self):
+        # the gate's B (boundary_ssd) and the solver's B share one kernel
+        fixed, moving, foh, moh, grid = _random_problem(11)
+        rep = total_loss(fixed, moving, foh, moh, grid, LossWeights(), with_grad=False)
+        geom = SampleGeometry(*sample_coords(densify(grid, fixed.width, fixed.height)),
+                              moving.data.shape)
+        warped = OneHotStack(np.stack([bilinear_sample_with_grad(ch, geom) for ch in moh.channels]))
+        assert rep.b_value == boundary_ssd(foh, warped)[0]
 
 
 class TestForwardBackward:
