@@ -23,7 +23,7 @@ from .image import (
     bilinear_sample_with_grad,
     central_gradient_raw,
     check_spacing,
-    nearest_sample_many,
+    nearest_sample,
 )
 
 __all__ = [
@@ -186,12 +186,6 @@ def _expand(coeffs: np.ndarray, by: np.ndarray, bx: np.ndarray) -> np.ndarray:
     return np.stack([by @ coeffs[..., j] @ bx.T for j in range(2)], axis=-1)
 
 
-def densify_at(grid: ControlGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Evaluate the spline on the separable lattice xs x ys; returns (len(ys), len(xs), 2)."""
-    return _expand(grid.coeffs, _basis_matrix(ys, grid.spacing_px, grid.rows),
-                   _basis_matrix(xs, grid.spacing_px, grid.cols))
-
-
 def densify(grid: ControlGrid, width: int, height: int) -> DisplacementField:
     """Expand the control grid into a dense per-pixel displacement field."""
     _check_coverage(grid, width, height)
@@ -221,11 +215,11 @@ def prolongate(grid: ControlGrid, fine_width: int, fine_height: int) -> ControlG
     # a linearly extrapolated coefficient pad (exact for constant/linear fields)
     pad = 3
     ext = _extrapolate_pad(grid.coeffs, pad)
-    ext_grid = ControlGrid(grid.spacing_px, ext)
-    off = pad * grid.spacing_px
-    xs = (np.arange(cols_f, dtype=np.float64) - 1.0) * grid.spacing_px / 2.0 + off
-    ys = (np.arange(rows_f, dtype=np.float64) - 1.0) * grid.spacing_px / 2.0 + off
-    return ControlGrid(grid.spacing_px, 2.0 * densify_at(ext_grid, xs, ys))
+    s = grid.spacing_px
+    xs = (np.arange(cols_f, dtype=np.float64) - 1.0) * s / 2.0 + pad * s
+    ys = (np.arange(rows_f, dtype=np.float64) - 1.0) * s / 2.0 + pad * s
+    fine = _expand(ext, _basis_matrix(ys, s, ext.shape[0]), _basis_matrix(xs, s, ext.shape[1]))
+    return ControlGrid(s, 2.0 * fine)
 
 
 def _extrapolate_pad(coeffs: np.ndarray, pad: int) -> np.ndarray:
@@ -272,8 +266,8 @@ def warp_image(m: Image2D, field: DisplacementField) -> Image2D:
 
 def warp_labels(lab: LabelMap, field: DisplacementField) -> LabelMap:
     """Nearest-neighbor label warp; evaluation only, never inside the loss."""
-    px, py = sample_coords(field)
-    return LabelMap(nearest_sample_many(lab.labels, px, py), num_classes=lab.num_classes)
+    geom = SampleGeometry(*sample_coords(field), lab.labels.shape)
+    return LabelMap(nearest_sample(lab.labels, geom), num_classes=lab.num_classes)
 
 
 def deformation_quality(field: DisplacementField) -> DeformationQuality:

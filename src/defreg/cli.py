@@ -78,11 +78,11 @@ def _read_label_pair(fixed_path, moving_path):
     return replace(fixed, num_classes=n), replace(moving, num_classes=n)
 
 
-def _entry_label_pair(e):
-    """The label maps of a manifest entry that must have both."""
-    if not (e.get("fixed_labels") and e.get("moving_labels")):
-        raise ConfigurationError(f"{e['id']}: manifest entry lacks fixed_labels/moving_labels")
-    return _read_label_pair(e["fixed_labels"], e["moving_labels"])
+def _entry_paths(e, fixed_key, moving_key):
+    """The fixed and moving paths of a manifest entry that must have both."""
+    if not (e.get(fixed_key) and e.get(moving_key)):
+        raise ConfigurationError(f"manifest entry {e['id']!r} lacks {fixed_key}/{moving_key}")
+    return e[fixed_key], e[moving_key]
 
 
 def _fail(exc, prefix="") -> int:
@@ -163,7 +163,7 @@ def cmd_register(args):
     code = 0
     for e in regio.read_manifest(args.manifest):
         try:
-            _register_one(e["fixed_image"], e["moving_image"],
+            _register_one(*_entry_paths(e, "fixed_image", "moving_image"),
                           e.get("fixed_labels"), e.get("moving_labels"),
                           cfg, out / e["id"], args.normalize)
         except _FAILURES as exc:
@@ -178,7 +178,7 @@ def cmd_eval(args):
         fields_dir = Path(args.fields_dir)
 
         def run(e):
-            flab, mlab = _entry_label_pair(e)
+            flab, mlab = _read_label_pair(*_entry_paths(e, "fixed_labels", "moving_labels"))
             fld = regio.read_field(fields_dir / e["id"] / "field.raw")
             return e["id"], evaluate_pair(flab, mlab, fld)
 
@@ -214,8 +214,8 @@ def cmd_ablate(args):
         raise ConfigurationError(f"--factors must be comma-separated numbers, "
                                  f"got {args.factors!r}") from None
     entries = regio.read_manifest(args.manifest)
-    dataset = [(_read_image(e["fixed_image"]), _read_image(e["moving_image"]),
-                *_entry_label_pair(e))
+    dataset = [(*map(_read_image, _entry_paths(e, "fixed_image", "moving_image")),
+                *_read_label_pair(*_entry_paths(e, "fixed_labels", "moving_labels")))
                for e in entries]
     rows = ablate(dataset, cfg, args.param, factors)
     with open(args.out, "w", newline="") as fh:

@@ -30,7 +30,7 @@ __all__ = [
     "SampleGeometry",
     "bilinear_sample_with_grad",
     "bilinear_slopes",
-    "nearest_sample_many",
+    "nearest_sample",
     "central_gradient_raw",
     "gradient_adjoint",
     "block_mean",
@@ -107,13 +107,11 @@ class OneHotStack:
     """K scalar channels over one pixel grid; channels from a LabelMap are binary."""
 
     channels: np.ndarray  # (K, H, W)
-    spacing: float = 1.0
 
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=np.float64)
         if self.channels.ndim != 3:
             raise DomainError(f"one-hot stack must be (K, H, W), got {self.channels.shape}")
-        check_spacing(self.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ class SampleGeometry:
             raise DomainError("sample coordinates must be finite")
         h, w = shape
         if h < 2 or w < 2:
-            raise DomainError("bilinear sampling needs at least 2 pixels per axis")
+            raise DomainError("sampling needs at least 2 pixels per axis")
         cx = np.clip(px, 0.0, w - 1.0)
         cy = np.clip(py, 0.0, h - 1.0)
         x0 = np.minimum(np.floor(cx).astype(np.intp), w - 2)
@@ -183,16 +181,9 @@ def bilinear_slopes(data: np.ndarray, g: SampleGeometry):
     return ddx * g.in_x, ddy * g.in_y
 
 
-def nearest_sample_many(labels: np.ndarray, px, py):
-    """Nearest-pixel label lookup at (px, py); ties round half-up on both axes."""
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py))):
-        raise DomainError("sample coordinates must be finite")
-    h, w = labels.shape
-    ix = np.clip(np.floor(px + 0.5), 0, w - 1).astype(np.intp)
-    iy = np.clip(np.floor(py + 0.5), 0, h - 1).astype(np.intp)
-    return labels[iy, ix]
+def nearest_sample(labels: np.ndarray, g: SampleGeometry) -> np.ndarray:
+    """Nearest-pixel lookup at the geometry's clamped points; ties round half-up on both axes."""
+    return labels.take(g.i00 + (g.fx >= 0.5) + g.shape[1] * (g.fy >= 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +261,10 @@ def normalize_intensity(img: Image2D) -> Image2D:
     return Image2D((img.data - lo) / (hi - lo), spacing=img.spacing)
 
 
-def to_one_hot(lab: LabelMap, spacing: float = 1.0) -> OneHotStack:
+def to_one_hot(lab: LabelMap) -> OneHotStack:
     """Binary K-channel encoding; channel k is 1 exactly where the label is k."""
     k = lab.num_classes
     channels = np.zeros((k, lab.height, lab.width), dtype=np.float64)
     for c in range(k):
         channels[c] = lab.labels == c
-    return OneHotStack(channels, spacing=spacing)
+    return OneHotStack(channels)

@@ -188,13 +188,25 @@ def write_manifest(path, entries: list):
 
 
 def read_manifest(path) -> list:
+    """The entries, each with a unique plain file name as ``id`` (it names the entry's
+    output directory) and its image, label and field paths resolved and checked to exist."""
     entries = read_json(path, list)
     base = Path(path).parent
+    seen = set()
     for i, e in enumerate(entries):
         if not (isinstance(e, dict) and isinstance(e.get("id"), str)):
             raise DomainError(f"{path}: entry {i} must be an object with a string id")
+        pid = e["id"]
+        if pid in ("", ".", "..") or "/" in pid or "\0" in pid:
+            raise DomainError(f"{path}: entry {i} id {pid!r} must be a plain file name")
+        if pid in seen:
+            raise DomainError(f"{path}: entry {i} repeats id {pid!r}")
+        seen.add(pid)
         for key, val in list(e.items()):
             if key.endswith(("image", "labels", "field")) and val is not None:
+                if not isinstance(val, str):
+                    raise DomainError(f"{path}: entry {pid!r}: {key} must be a path string, "
+                                      f"got {val!r}")
                 p = Path(val)
                 if not p.is_absolute():
                     p = base / p

@@ -160,11 +160,11 @@ def _ssd_core(fixed_channels, warped_channels, spacing: float):
 
 
 def boundary_ssd(fixed_oh: OneHotStack, warped_oh: OneHotStack):
-    """0.5 * integral of the squared one-hot difference and its gradient w.r.t. warped channels."""
+    """0.5 * sum over pixels of the squared one-hot difference (unit pixel spacing)
+    and its gradient w.r.t. the warped channels, ``warped - fixed``."""
     if fixed_oh.channels.shape != warped_oh.channels.shape:
         raise DomainError("boundary_ssd: one-hot stacks differ in shape")
-    value, diff = _ssd_core(fixed_oh.channels, warped_oh.channels, fixed_oh.spacing)
-    return value, fixed_oh.spacing * fixed_oh.spacing * diff
+    return _ssd_core(fixed_oh.channels, warped_oh.channels, 1.0)
 
 
 def total_loss(fixed: Image2D, moving: Image2D,
@@ -188,8 +188,6 @@ def total_loss(fixed: Image2D, moving: Image2D,
         raise DomainError("total_loss: fixed one-hot supplied without moving one-hot")
     if use_boundary and fixed_oh.channels.shape != moving_oh.channels.shape:
         raise DomainError("total_loss: one-hot channel mismatch")
-    if use_boundary and fixed_oh.spacing != fixed.spacing:
-        raise DomainError("total_loss: one-hot and image spacings differ")
 
     geom = SampleGeometry(*sample_coords(densify(grid, fixed.width, fixed.height)),
                           moving.data.shape)

@@ -100,12 +100,11 @@ def _build_pyramid(img: Image2D, levels: int):
     return pyr
 
 
-def _build_onehot_pyramid(lab: LabelMap, levels: int, spacing: float):
+def _build_onehot_pyramid(lab: LabelMap, levels: int):
     """One-hot at full resolution, then the whole stack block-averaged per level."""
-    pyr = [to_one_hot(lab, spacing=spacing)]
+    pyr = [to_one_hot(lab)]
     for _ in range(levels - 1):
-        prev = pyr[-1]
-        pyr.append(OneHotStack(block_mean(prev.channels), spacing=prev.spacing * 2.0))
+        pyr.append(OneHotStack(block_mean(pyr[-1].channels)))
     return pyr
 
 
@@ -171,6 +170,9 @@ def register(fixed: Image2D, moving: Image2D,
         cfg = RegistrationConfig()
     if fixed.data.shape != moving.data.shape:
         raise DomainError("register: fixed/moving dimensions differ")
+    if fixed.spacing != moving.spacing:
+        raise DomainError(f"register: fixed spacing {fixed.spacing} and moving spacing "
+                          f"{moving.spacing} differ")
     if (fixed_lab is None) != (moving_lab is None):
         raise DomainError("register: either both label maps or neither")
     w = cfg.weights
@@ -194,8 +196,8 @@ def register(fixed: Image2D, moving: Image2D,
             "coarsest image; need at least 8x8"
         )
     if w.beta != 0.0:
-        fixed_oh_pyr = _build_onehot_pyramid(fixed_lab, cfg.num_levels, fixed.spacing)
-        moving_oh_pyr = _build_onehot_pyramid(moving_lab, cfg.num_levels, moving.spacing)
+        fixed_oh_pyr = _build_onehot_pyramid(fixed_lab, cfg.num_levels)
+        moving_oh_pyr = _build_onehot_pyramid(moving_lab, cfg.num_levels)
     else:
         fixed_oh_pyr = [None] * cfg.num_levels
         moving_oh_pyr = [None] * cfg.num_levels

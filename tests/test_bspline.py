@@ -14,7 +14,7 @@ from defreg import (
     warp_image,
     warp_labels,
 )
-from defreg.bspline import DisplacementField, cubic_bspline, densify_at, splat_to_grid
+from defreg.bspline import DisplacementField, cubic_bspline, splat_to_grid
 from defreg.errors import ConfigurationError
 
 

@@ -5,7 +5,6 @@ from defreg import (
     DomainError,
     Image2D,
     LabelMap,
-    OneHotStack,
     downsample,
     normalize_intensity,
     to_one_hot,
@@ -18,7 +17,7 @@ from defreg.image import (
     block_mean,
     central_gradient_raw,
     gradient_adjoint,
-    nearest_sample_many,
+    nearest_sample,
 )
 
 
@@ -40,7 +39,7 @@ def bilinear_at(img, p):
 
 def nearest_at(lab, p):
     """The nearest label at one point ``p = (x, y)``."""
-    return nearest_sample_many(lab.labels, p[0], p[1])
+    return nearest_sample(lab.labels, SampleGeometry(p[0], p[1], lab.labels.shape))
 
 
 class TestBilinearSample:
@@ -235,7 +234,6 @@ class TestOneHot:
 
 CONTAINERS = {
     "Image2D": lambda s: Image2D(np.zeros((3, 3)), spacing=s),
-    "OneHotStack": lambda s: OneHotStack(np.zeros((2, 3, 3)), spacing=s),
     "DisplacementField": lambda s: DisplacementField(np.zeros((3, 3, 2)), spacing=s),
     "ControlGrid": lambda s: ControlGrid(s, np.zeros((4, 4, 2))),
 }

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import defreg
-from defreg import Image2D, LabelMap, make_grid
+from defreg import Image2D, LabelMap, RegistrationConfig, ablate, make_grid
 from defreg.bspline import ControlGrid, DisplacementField
 from defreg.cli import cli_main
 from defreg.errors import DomainError
 from defreg import io as regio
+from test_acceptance import ablation_pair
 
 
 class TestPgm:
@@ -386,6 +388,10 @@ def bad_inputs(tmp_path):
         "noid.json": json.dumps([pair]),
         "unlabeled.json": json.dumps([{"id": "p0", **pair}]),
         "labeled.json": json.dumps([{"id": "p0", **pair, **labels}]),
+        "escape.json": json.dumps([{"id": "../escaped", **pair}]),
+        "repeated.json": json.dumps([{"id": "p0", **pair}, {"id": "p0", **pair}]),
+        "pathnumber.json": json.dumps([{"id": "p0", **pair, "fixed_image": 5}]),
+        "nofixed.json": json.dumps([{"id": "p0", "moving_image": "img.raw", **labels}]),
         "short.raw": "", "short.json": json.dumps({"width": 4}),
         "bad.raw": "", "bad.json": "nope",
     }
@@ -396,6 +402,7 @@ def bad_inputs(tmp_path):
         regio.write_raw_image(tmp_path / f"{name}.raw", Image2D(rng.random((32, 32))))
         (tmp_path / f"{name}.json").write_text(
             f'{{"width": 32, "height": 32, "spacing": {spacing}}}')
+    regio.write_raw_image(tmp_path / "spacing3.raw", Image2D(rng.random((32, 32)), spacing=3.0))
     regio.write_field(tmp_path / "field.raw", DisplacementField(np.zeros((32, 32, 2))))
     regio.write_label_pgm(tmp_path / "lab30.pgm",
                           LabelMap(rng.integers(0, 2, (30, 30)), num_classes=2))
@@ -413,6 +420,14 @@ BAD_INPUTS = {
     "manifest_not_json": ["register", "--manifest", "{d}/nope.json", "--out", "{d}/out"],
     "manifest_not_objects": ["register", "--manifest", "{d}/numbers.json", "--out", "{d}/out"],
     "manifest_entry_without_id": ["register", "--manifest", "{d}/noid.json", "--out", "{d}/out"],
+    "manifest_id_escapes_out": ["register", "--manifest", "{d}/escape.json", "--out", "{d}/out"],
+    "manifest_id_repeated": ["register", "--manifest", "{d}/repeated.json", "--out", "{d}/out"],
+    "manifest_path_not_string": ["register", "--manifest", "{d}/pathnumber.json",
+                                 "--out", "{d}/out"],
+    "register_manifest_without_fixed_image": ["register", "--manifest", "{d}/nofixed.json",
+                                              "--max-iters", "1", "--out", "{d}/out"],
+    "ablate_manifest_without_fixed_image": ["ablate", "--manifest", "{d}/nofixed.json",
+                                            "--param", "beta", "--out", "{d}/out/a.csv"],
     "sidecar_without_height": ["diff", "--a", "{d}/short.raw", "--b", "{d}/img.raw",
                                "--out", "{d}/d.pgm"],
     "sidecar_not_json": ["diff", "--a", "{d}/bad.raw", "--b", "{d}/img.raw", "--out", "{d}/d.pgm"],
@@ -438,6 +453,8 @@ BAD_INPUTS = {
     "pgm_negative_width": ["diff", "--a", "{d}/negative.pgm", "--b", "{d}/negative.pgm",
                            "--out", "{d}/d.pgm"],
     "pgm_zero_maxval": ["diff", "--a", "{d}/zero.pgm", "--b", "{d}/zero.pgm", "--out", "{d}/d.pgm"],
+    "register_spacings_differ": ["register", "--fixed", "{d}/img.raw",
+                                 "--moving", "{d}/spacing3.raw", "--out", "{d}/out"],
     "spacing_inf": [*REGISTER_PAIR, "--spacing", "inf"],
     "spacing_nan": [*REGISTER_PAIR, "--spacing", "nan"],
     "alpha_nan": [*REGISTER_PAIR, "--alpha", "nan"],
@@ -457,7 +474,9 @@ def _cli_env(**extra):
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_input_exits_one_line(bad_inputs, case):
-    """The installed entry point, run as a process: exit 1 and one ``error:`` line."""
+    """The installed entry point, run as a process: exit 1, one ``error:`` line, and
+    nothing written outside ``{d}/out``."""
+    before = set(bad_inputs.rglob("*"))
     proc = subprocess.run([sys.executable, "-m", "defreg.cli",
                            *(a.format(d=bad_inputs) for a in BAD_INPUTS[case])],
                           env=_cli_env(**BAD_ENV.get(case, {})),
@@ -466,6 +485,20 @@ def test_bad_input_exits_one_line(bad_inputs, case):
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    written = set(bad_inputs.rglob("*")) - before
+    assert all(bad_inputs / "out" in (p, *p.parents) for p in written), written
+
+
+def test_entry_without_images_does_not_stop_the_batch(bad_inputs, capsys):
+    pair = {"fixed_image": "img.raw", "moving_image": "img.raw"}
+    regio.write_manifest(bad_inputs / "batch.json",
+                         [{"id": "p0", "moving_image": "img.raw"}, {"id": "p1", **pair}])
+    out = bad_inputs / "out"
+    assert cli_main(["register", "--manifest", str(bad_inputs / "batch.json"),
+                     "--max-iters", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: p0: manifest entry 'p0' lacks fixed_image/moving_image" in err
+    assert (out / "p1" / "field.raw").exists()
 
 
 def test_cli_import_leaves_scipy_out():
@@ -521,3 +554,52 @@ def test_field_identical_across_blas_threads(pair112, tmp_path):
         assert proc.returncode == 0, proc.stderr
         fields.append((out / "field.raw").read_bytes())
     assert fields[0] == fields[1] == fields[2]
+
+
+@pytest.fixture(scope="module")
+def weak_manifest(tmp_path_factory):
+    """Two criterion-5 pairs as files: raw images and jittered supervision label
+    PGMs, the second pair's moving map lacking the right ventricle (class 3).
+    Also returns the in-process dataset the CLI reads from them."""
+    d = tmp_path_factory.mktemp("weak")
+    entries, dataset = [], []
+    for seed in range(2):
+        pair, sup_fixed, sup_moving = ablation_pair(seed)
+        if seed == 1:
+            sup_moving = replace(sup_moving, labels=np.where(sup_moving.labels == 3, 0,
+                                                             sup_moving.labels))
+        pid = f"pair_{seed}"
+        entry = {"id": pid, "fixed_image": f"{pid}_fixed.raw",
+                 "moving_image": f"{pid}_moving.raw",
+                 "fixed_labels": f"{pid}_fixed_labels.pgm",
+                 "moving_labels": f"{pid}_moving_labels.pgm"}
+        regio.write_raw_image(d / entry["fixed_image"], pair.fixed_image)
+        regio.write_raw_image(d / entry["moving_image"], pair.moving_image)
+        regio.write_label_pgm(d / entry["fixed_labels"], sup_fixed)
+        regio.write_label_pgm(d / entry["moving_labels"], sup_moving)
+        entries.append(entry)
+        # the files hold float32 intensities, so the in-process images are read back
+        dataset.append((regio.read_raw_image(d / entry["fixed_image"]),
+                        regio.read_raw_image(d / entry["moving_image"]),
+                        sup_fixed, sup_moving))
+    regio.write_manifest(d / "manifest.json", entries)
+    return d / "manifest.json", dataset
+
+
+@pytest.mark.parametrize("param", ["beta", "delta"])
+def test_weak_supervision_ablate_matches_in_process(weak_manifest, tmp_path, param):
+    """The paper's use case through the CLI: ``defreg ablate`` on noisy images with
+    jittered and partial label maps writes the rows of an in-process ``ablate``.
+    Two pairs cannot carry criterion 5's Dice directions, so none is asserted."""
+    manifest, dataset = weak_manifest
+    out = tmp_path / "ablate.csv"
+    proc = subprocess.run([sys.executable, "-m", "defreg.cli", "ablate",
+                           "--manifest", str(manifest), "--param", param,
+                           "--factors", "1,0", "--max-iters", "30", "--out", str(out)],
+                          env=_cli_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = ablate(dataset, RegistrationConfig(max_iters_per_level=30), param, [1.0, 0.0])
+    expected = [["factor", "dice_mean", "folding_pct"],
+                *([f"{f:g}", f"{dice:.6f}", f"{fold:.6f}"] for f, dice, fold in rows)]
+    with open(out, newline="") as fh:
+        assert list(csv.reader(fh)) == expected

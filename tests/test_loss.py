@@ -349,12 +349,6 @@ class TestTotalLoss:
             total_loss(Image2D(rng.random((8, 8))), Image2D(rng.random((8, 9))),
                        None, None, make_grid(8, 8, 4.0), LossWeights())
 
-    def test_onehot_spacing_mismatch_rejected(self):
-        fixed, moving, foh, moh, grid = _random_problem(10)
-        foh.spacing = 2.0
-        with pytest.raises(DomainError):
-            total_loss(fixed, moving, foh, moh, grid, LossWeights())
-
     def test_boundary_value_is_boundary_ssd_bit_for_bit(self):
         # the gate's B (boundary_ssd) and the solver's B share one kernel
         fixed, moving, foh, moh, grid = _random_problem(11)

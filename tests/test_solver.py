@@ -144,6 +144,13 @@ class TestValidation:
             register(Image2D(np.zeros((32, 32))), Image2D(np.zeros((32, 40))),
                      cfg=FAST)
 
+    def test_spacing_mismatch_rejected(self):
+        from defreg.errors import DomainError
+
+        with pytest.raises(DomainError, match="spacing 1.0 and moving spacing 3.0"):
+            register(Image2D(np.zeros((32, 32))), Image2D(np.zeros((32, 32)), spacing=3.0),
+                     cfg=FAST)
+
     def test_too_many_levels_rejected(self):
         pair = small_pair()
         with pytest.raises(ConfigurationError):
