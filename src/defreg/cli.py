@@ -38,12 +38,23 @@ _FAILURES = (DomainError, ConfigurationError, NumericalError, OSError)
 
 
 def _config_file_defaults(path) -> dict:
-    """The settings in a JSON config file, converted to the types of their flags."""
+    """The settings in a JSON config file as the types of their flags: numbers,
+    not bools or strings, and integral where the flag takes an integer."""
     values = regio.read_json(path, dict)
-    try:
-        return {k: type(v)(values[k]) for k, v in DEFAULTS.items() if k in values}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{path}: settings must be numbers ({exc})") from None
+    settings = {}
+    for key, default in DEFAULTS.items():
+        if key not in values:
+            continue
+        value = values[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(f"{path}: {key} must be a number, got {value!r}")
+        if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+            raise ConfigurationError(f"{path}: {key} must be an integer, got {value!r}")
+        try:
+            settings[key] = type(default)(value)
+        except OverflowError:
+            raise ConfigurationError(f"{path}: {key} is out of range") from None
+    return settings
 
 
 def _build_config(args):

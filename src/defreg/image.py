@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,16 +103,62 @@ class LabelMap:
         return self.labels.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OneHotStack:
-    """K scalar channels over one pixel grid; channels from a LabelMap are binary."""
+    """K scalar channels over one pixel grid; channels from a LabelMap are binary.
+
+    Immutable: the channels are a read-only copy, so the two read-only arrays
+    derived from them on first use, :attr:`cell_labels` and
+    :attr:`label_sq_distances`, never go stale. They live and die with the stack.
+    """
 
     channels: np.ndarray  # (K, H, W)
 
     def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.float64)
-        if self.channels.ndim != 3:
-            raise DomainError(f"one-hot stack must be (K, H, W), got {self.channels.shape}")
+        channels = np.array(self.channels, dtype=np.float64)
+        if channels.ndim != 3:
+            raise DomainError(f"one-hot stack must be (K, H, W), got {channels.shape}")
+        channels.flags.writeable = False
+        object.__setattr__(self, "channels", channels)
+
+    @cached_property
+    def cell_labels(self) -> np.ndarray:
+        """Flat ``(H*W,)`` map: ``l`` where the 2x2 cell whose top-left corner is
+        that pixel has the one-hot vector ``e_l`` at all four corners, so a
+        bilinear sample in it is ``e_l`` and its slopes are zero; -1 otherwise
+        (the band, and the last row and column, which start no cell)."""
+        return _cell_labels(self.channels)
+
+    @cached_property
+    def label_sq_distances(self) -> np.ndarray:
+        """``(K+1, H*W)`` table: row ``l < K`` holds ``sum_k (e_l,k - c_k,p)^2``
+        for each pixel ``p``; row ``K`` is zero, so the band's label -1 reads 0."""
+        return _label_sq_distances(self.channels)
+
+
+def _cell_labels(channels: np.ndarray) -> np.ndarray:
+    _, h, w = channels.shape
+    binary = np.all((channels == 0.0) | (channels == 1.0), axis=0)
+    label = np.where(binary & (channels.sum(axis=0) == 1.0), channels.argmax(axis=0), -1)
+    corner = label[:-1, :-1]
+    same = (corner == label[:-1, 1:]) & (corner == label[1:, :-1]) & (corner == label[1:, 1:])
+    cells = np.full((h, w), -1, dtype=np.intp)
+    cells[:-1, :-1] = np.where(same, corner, -1)
+    cells = cells.reshape(-1)
+    cells.flags.writeable = False
+    return cells
+
+
+def _label_sq_distances(channels: np.ndarray) -> np.ndarray:
+    k = channels.shape[0]
+    flat = channels.reshape(k, -1)
+    table = np.zeros((k + 1, flat.shape[1]))
+    for label in range(k):
+        diff = flat.copy()
+        diff[label] -= 1.0
+        table[label] = np.sum(diff * diff, axis=0)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from defreg import (
 )
 from defreg.bspline import ControlGrid, DisplacementField
 from defreg.image import (
+    OneHotStack,
     SampleGeometry,
     bilinear_sample_with_grad,
     bilinear_slopes,
@@ -230,6 +231,61 @@ class TestOneHot:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             LabelMap(np.array([[0, 7]]), num_classes=4)
+
+
+class TestOneHotCells:
+    """The band tables a stack derives from its channels: exact, read-only, built once."""
+
+    def test_straight_edge_band_is_one_column(self):
+        labels = np.zeros((6, 9), dtype=int)
+        labels[:, 5:] = 1  # the edge runs between columns 4 and 5
+        cells = to_one_hot(LabelMap(labels, num_classes=2)).cell_labels.reshape(6, 9)
+        expected = np.full((6, 9), -1)
+        expected[:-1, :4] = 0
+        expected[:-1, 5:-1] = 1
+        np.testing.assert_array_equal(cells, expected)
+        starts_cell = np.zeros((6, 9), dtype=bool)
+        starts_cell[:-1, :-1] = True
+        band_columns = np.unique(np.nonzero((cells == -1) & starts_cell)[1])
+        np.testing.assert_array_equal(band_columns, [4])
+
+    def test_non_one_hot_stack_is_all_band(self):
+        stack = OneHotStack(np.random.default_rng(0).random((3, 5, 6)))
+        assert np.all(stack.cell_labels == -1)
+
+    def test_averaged_stack_keeps_uniform_blocks(self):
+        labels = np.zeros((8, 8), dtype=int)
+        labels[:, 3:] = 1  # the edge splits the 2x2 blocks of columns 2 and 3
+        coarse = OneHotStack(block_mean(to_one_hot(LabelMap(labels, num_classes=2)).channels))
+        cells = coarse.cell_labels.reshape(4, 4)
+        np.testing.assert_array_equal(cells[:-1, :-1], [[-1, -1, 1]] * 3)
+
+    def test_label_sq_distances_brute_force(self):
+        rng = np.random.default_rng(1)
+        channels = rng.random((3, 4, 5))
+        table = OneHotStack(channels).label_sq_distances
+        assert table.shape == (4, 20)
+        for label in range(3):
+            for p, (y, x) in enumerate(np.ndindex(4, 5)):
+                expected = sum((float(label == k) - channels[k, y, x]) ** 2 for k in range(3))
+                assert table[label, p] == pytest.approx(expected, rel=1e-15)
+        assert np.all(table[3] == 0.0)
+
+    def test_arrays_read_only_and_built_once(self):
+        stack = to_one_hot(LabelMap(np.eye(4, dtype=int), num_classes=2))
+        for name in ("channels", "cell_labels", "label_sq_distances"):
+            arr = getattr(stack, name)
+            assert not arr.flags.writeable, name
+            assert getattr(stack, name) is arr, name
+        with pytest.raises(AttributeError):
+            stack.channels = np.zeros((2, 4, 4))
+
+    def test_channels_are_a_copy(self):
+        channels = np.zeros((2, 3, 3))
+        stack = OneHotStack(channels)
+        channels[0] = 1.0
+        assert np.all(stack.channels == 0.0)
+        assert channels.flags.writeable
 
 
 CONTAINERS = {

@@ -383,6 +383,9 @@ def bad_inputs(tmp_path):
     labels = {"fixed_labels": "lab.pgm", "moving_labels": "lab.pgm"}
     files = {
         "notjson.json": "not json",
+        "levels27.json": json.dumps({"levels": 2.7}),
+        "itersbool.json": json.dumps({"max_iters": True}),
+        "deltastring.json": json.dumps({"delta": "1e0"}),
         "nope.json": "nope",
         "numbers.json": "[1,2]",
         "noid.json": json.dumps([pair]),
@@ -417,6 +420,9 @@ REGISTER_PAIR = ["register", "--fixed", "{d}/img.raw", "--moving", "{d}/img.raw"
 # one case per malformed file, bad argument and non-finite setting
 BAD_INPUTS = {
     "config_not_json": [*REGISTER_PAIR, "--config", "{d}/notjson.json"],
+    "config_levels_not_integer": [*REGISTER_PAIR, "--config", "{d}/levels27.json"],
+    "config_max_iters_bool": [*REGISTER_PAIR, "--config", "{d}/itersbool.json"],
+    "config_weight_string": [*REGISTER_PAIR, "--config", "{d}/deltastring.json"],
     "manifest_not_json": ["register", "--manifest", "{d}/nope.json", "--out", "{d}/out"],
     "manifest_not_objects": ["register", "--manifest", "{d}/numbers.json", "--out", "{d}/out"],
     "manifest_entry_without_id": ["register", "--manifest", "{d}/noid.json", "--out", "{d}/out"],

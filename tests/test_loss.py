@@ -25,10 +25,14 @@ from defreg.bspline import (
     _pixel_basis,
     curvature_factors,
     densify,
+    random_smooth_deformation,
     sample_coords,
+    splat_to_grid,
 )
-from defreg.image import OneHotStack, SampleGeometry, bilinear_sample_with_grad
-from defreg.lossterms import _ngf_adjoint, _ngf_core, ngf_integrand
+from defreg.image import OneHotStack, SampleGeometry, bilinear_sample_with_grad, bilinear_slopes
+from defreg.lossterms import _ngf_adjoint, _ngf_core, _ssd_core, ngf_integrand
+from defreg.phantom import PhantomSpec, make_pair
+from defreg.solver import _build_onehot_pyramid, _build_pyramid
 
 
 def ngf_value_oracle(fixed, warped, epsilon):
@@ -357,6 +361,45 @@ class TestTotalLoss:
                               moving.data.shape)
         warped = OneHotStack(np.stack([bilinear_sample_with_grad(ch, geom) for ch in moh.channels]))
         assert rep.b_value == boundary_ssd(foh, warped)[0]
+
+
+def _dense_boundary(fixed_oh, moving_oh, grid, spacing):
+    """B and its coefficient gradient with every channel sampled and
+    differentiated at every pixel: the reference for the narrow band."""
+    h, w = moving_oh.channels.shape[1:]
+    geom = SampleGeometry(*sample_coords(densify(grid, w, h)), (h, w))
+    warped = np.stack([bilinear_sample_with_grad(ch, geom) for ch in moving_oh.channels])
+    value, diff = _ssd_core(fixed_oh.channels, warped, spacing)
+    cot = diff * spacing * spacing
+    slopes = [bilinear_slopes(ch, geom) for ch in moving_oh.channels]
+    du = np.stack([sum(c * s[0] for c, s in zip(cot, slopes)),
+                   sum(c * s[1] for c, s in zip(cot, slopes))], axis=-1)
+    return value, splat_to_grid(du, grid), geom
+
+
+class TestNarrowBand:
+    """B on the band equals B sampled and differentiated at every pixel."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_band_equals_dense(self, level):
+        # the myocardium reaches the right edge, so band samples also clamp there
+        pair = make_pair(PhantomSpec(center=(89.5, 56.0)), deform_magnitude_px=4.0, seed=3)
+        fixed = _build_pyramid(pair.fixed_image, 3)[level]
+        moving = _build_pyramid(pair.moving_image, 3)[level]
+        foh = _build_onehot_pyramid(pair.fixed_labels, 3)[level]
+        moh = _build_onehot_pyramid(pair.moving_labels, 3)[level]
+        # 6 px of smooth displacement: samples cross label edges and leave the image
+        grid = random_smooth_deformation(fixed.width, fixed.height, 6.0, seed=2,
+                                         spacing_px=8.0)
+        rep = total_loss(fixed, moving, foh, moh, grid, LossWeights())
+        value, grad, geom = _dense_boundary(foh, moh, grid, fixed.spacing)
+        band = moh.cell_labels.take(geom.i00) < 0
+        clamped = ~(geom.in_x & geom.in_y)
+        assert 0 < band.sum() < band.size
+        assert np.any(band & clamped) and np.any(~band & clamped)
+        assert rep.b_value == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(rep.grad_b, grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(grad).max())
 
 
 class TestForwardBackward:

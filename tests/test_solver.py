@@ -1,5 +1,8 @@
 """Multi-level registration solver: convergence, determinism, ablation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -14,7 +17,7 @@ from defreg import (
     make_pair,
     register,
 )
-from defreg import solver
+from defreg import image, solver
 from defreg.image import Image2D, LabelMap
 
 
@@ -120,6 +123,27 @@ class TestOptimizerBehaviour:
         assert accepted > 0
         assert not any(a.shape == b.shape and np.array_equal(a, b)
                        for a, b in zip(seen, seen[1:]))
+
+    def test_band_tables_built_once_per_stack_and_freed(self, monkeypatch):
+        """Each level's moving stack builds its cell-label map once and each fixed
+        stack its distance table once per ``register``; none outlives the call."""
+        built = {"_cell_labels": [], "_label_sq_distances": []}
+        for name, calls in built.items():
+            original = getattr(image, name)
+
+            def counting(channels, original=original, calls=calls):
+                calls.append((channels.shape, weakref.ref(channels)))
+                return original(channels)
+
+            monkeypatch.setattr(image, name, counting)
+        pair = small_pair(seed=2, magnitude=2.0)
+        register(pair.fixed_image, pair.moving_image,
+                 pair.fixed_labels, pair.moving_labels, FAST)
+        for name, calls in built.items():
+            # one build per level, each on a stack of another size
+            assert len({shape for shape, _ in calls}) == len(calls) == FAST.num_levels, name
+        gc.collect()
+        assert all(ref() is None for calls in built.values() for _, ref in calls)
 
     def test_report_dict_has_no_wall_clock(self):
         pair = small_pair(seed=0, magnitude=1.0)
