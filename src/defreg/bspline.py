@@ -254,8 +254,8 @@ def random_smooth_deformation(width: int, height: int, magnitude_px: float,
 def sample_coords(field: DisplacementField):
     """Per-pixel sample positions x + u(x) as (px, py)."""
     h, w = field.height, field.width
-    xx, yy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    return xx + field.u[..., 0], yy + field.u[..., 1]
+    return (field.u[..., 0] + np.arange(w, dtype=np.float64),
+            field.u[..., 1] + np.arange(h, dtype=np.float64)[:, None])
 
 
 def warp_image(m: Image2D, field: DisplacementField) -> Image2D:

@@ -169,24 +169,27 @@ class SampleGeometry:
     """Where bilinear samples at (px, py) fall on an ``(h, w)`` pixel grid.
 
     Built once per set of coordinates and shared by every channel sampled
-    there: the flat indices of the four surrounding pixels, the interpolation
-    weights, and which coordinates lie inside the domain. Coordinates are
-    clamped to the domain; a clamped coordinate gets zero positional
-    derivative, so that no force is exerted through the clamp.
+    there: the flat index ``i00`` of the top-left of the four surrounding
+    pixels (the others are ``i00 + 1``, ``i00 + w`` and ``i00 + w + 1``), the
+    interpolation weights, and which coordinates lie inside the domain.
+    Coordinates are clamped to the domain; a clamped coordinate gets zero
+    positional derivative, so that no force is exerted through the clamp.
     """
 
-    __slots__ = ("shape", "i00", "i01", "i10", "i11", "fx", "fy", "gx", "gy", "in_x", "in_y")
+    _ARRAYS = ("i00", "fx", "fy", "gx", "gy", "in_x", "in_y")  # one entry per sample
+    __slots__ = ("shape", *_ARRAYS)
 
     def __init__(self, px, py, shape):
         px = np.asarray(px, dtype=np.float64)
         py = np.asarray(py, dtype=np.float64)
-        if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py))):
+        if not (np.isfinite(px).all() and np.isfinite(py).all()):
             raise DomainError("sample coordinates must be finite")
         h, w = shape
         if h < 2 or w < 2:
             raise DomainError("sampling needs at least 2 pixels per axis")
-        cx = np.clip(px, 0.0, w - 1.0)
-        cy = np.clip(py, 0.0, h - 1.0)
+        cx = np.minimum(np.maximum(px, 0.0), w - 1.0)
+        cy = np.minimum(np.maximum(py, 0.0), h - 1.0)
+        # clamping x0 to w-2 and y0 to h-2 keeps every corner on the grid
         x0 = np.minimum(np.floor(cx).astype(np.intp), w - 2)
         y0 = np.minimum(np.floor(cy).astype(np.intp), h - 2)
         self.shape = (h, w)
@@ -195,17 +198,29 @@ class SampleGeometry:
         self.gx = 1 - self.fx
         self.gy = 1 - self.fy
         self.i00 = y0 * w + x0
-        self.i01 = self.i00 + 1
-        self.i10 = self.i00 + w
-        self.i11 = self.i10 + 1
-        self.in_x = (px >= 0.0) & (px <= w - 1.0)
-        self.in_y = (py >= 0.0) & (py <= h - 1.0)
+        # a finite coordinate lies in the domain exactly when clamping kept it
+        self.in_x = cx == px
+        self.in_y = cy == py
+
+    def subset(self, idx) -> SampleGeometry:
+        """The geometry of the samples at flat positions ``idx``, taken from this one."""
+        sub = SampleGeometry.__new__(SampleGeometry)
+        sub.shape = self.shape
+        for name in SampleGeometry._ARRAYS:
+            setattr(sub, name, getattr(self, name).take(idx))
+        return sub
 
 
 def _corners(data: np.ndarray, g: SampleGeometry):
-    if data.shape != g.shape:
+    """Values at the four corners of every sample, for one ``(h, w)`` channel or
+    a ``(K, h, w)`` stack; the three other corners are read from offset views."""
+    if data.shape[-2:] != g.shape:
         raise DomainError(f"sampled data {data.shape} does not match the geometry {g.shape}")
-    return data.take(g.i00), data.take(g.i01), data.take(g.i10), data.take(g.i11)
+    h, w = g.shape
+    flat = data.reshape(*data.shape[:-2], h * w)
+    i = g.i00
+    return (flat.take(i, axis=-1), flat[..., 1:].take(i, axis=-1),
+            flat[..., w:].take(i, axis=-1), flat[..., w + 1:].take(i, axis=-1))
 
 
 def bilinear_sample_with_grad(data: np.ndarray, g: SampleGeometry) -> np.ndarray:
@@ -218,7 +233,8 @@ def bilinear_sample_with_grad(data: np.ndarray, g: SampleGeometry) -> np.ndarray
 
 
 def bilinear_slopes(data: np.ndarray, g: SampleGeometry):
-    """Derivatives of the bilinear interpolant w.r.t. the sample coordinates, as (ddx, ddy).
+    """Derivatives of the bilinear interpolant w.r.t. the sample coordinates, as (ddx, ddy),
+    for one channel or, with a leading axis, for each channel of a stack.
 
     A clamped coordinate no longer moves the sample, so its derivative is
     zero; the other axis keeps its usual interpolant derivative."""
@@ -265,19 +281,21 @@ def gradient_adjoint(qx: np.ndarray, qy: np.ndarray, spacing: float) -> np.ndarr
     h = spacing
     g = np.zeros_like(qx)
     # x-derivative transpose
-    g[:, 2:] += qx[:, 1:-1] / (2.0 * h)
-    g[:, :-2] -= qx[:, 1:-1] / (2.0 * h)
-    g[:, 0] -= qx[:, 0] / h
-    g[:, 1] += qx[:, 0] / h
-    g[:, -1] += qx[:, -1] / h
-    g[:, -2] -= qx[:, -1] / h
+    mid, first, last = qx[:, 1:-1] / (2.0 * h), qx[:, 0] / h, qx[:, -1] / h
+    g[:, 2:] += mid
+    g[:, :-2] -= mid
+    g[:, 0] -= first
+    g[:, 1] += first
+    g[:, -1] += last
+    g[:, -2] -= last
     # y-derivative transpose
-    g[2:, :] += qy[1:-1, :] / (2.0 * h)
-    g[:-2, :] -= qy[1:-1, :] / (2.0 * h)
-    g[0, :] -= qy[0, :] / h
-    g[1, :] += qy[0, :] / h
-    g[-1, :] += qy[-1, :] / h
-    g[-2, :] -= qy[-1, :] / h
+    mid, first, last = qy[1:-1, :] / (2.0 * h), qy[0, :] / h, qy[-1, :] / h
+    g[2:, :] += mid
+    g[:-2, :] -= mid
+    g[0, :] -= first
+    g[1, :] += first
+    g[-1, :] += last
+    g[-2, :] -= last
     return g
 
 

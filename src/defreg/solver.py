@@ -44,8 +44,11 @@ class RegistrationConfig:
     def __post_init__(self):
         if self.num_levels < 1:
             raise ConfigurationError("num_levels must be >= 1")
-        if not 0 < self.finest_control_spacing_px < np.inf:
-            raise ConfigurationError("control spacing must be positive and finite")
+        # a lattice finer than the pixels has more nodes than pixels, and its
+        # grid and Gram matrices grow as 1/spacing^2
+        if not 1 <= self.finest_control_spacing_px < np.inf:
+            raise ConfigurationError("control spacing must be finite and at least 1 pixel, "
+                                     f"got {self.finest_control_spacing_px!r}")
         if self.max_iters_per_level < 1:
             raise ConfigurationError("max_iters_per_level must be >= 1")
 

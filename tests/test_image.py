@@ -9,10 +9,11 @@ from defreg import (
     normalize_intensity,
     to_one_hot,
 )
-from defreg.bspline import ControlGrid, DisplacementField
+from defreg.bspline import ControlGrid, DisplacementField, sample_coords
 from defreg.image import (
     OneHotStack,
     SampleGeometry,
+    _corners,
     bilinear_sample_with_grad,
     bilinear_slopes,
     block_mean,
@@ -105,6 +106,61 @@ class TestBilinearSample:
         fdy = (val(px, py + h) - val(px, py - h)) / (2 * h)
         np.testing.assert_allclose(ddx, fdx, atol=1e-8)
         np.testing.assert_allclose(ddy, fdy, atol=1e-8)
+
+
+class TestGeometry:
+    """The geometry keeps only the top-left corner index; the others are offsets."""
+
+    H, W = 5, 7
+
+    def setup_method(self):
+        # exact 0 and n-1, inside, on a cell edge and beyond both ends, per axis
+        xs = np.array([0.0, 2.0, 3.25, self.W - 1.5, self.W - 1.0, -0.5, self.W + 0.7])
+        ys = np.array([0.0, 1.75, self.H - 1.0, -2.0, self.H + 3.5])
+        self.px, self.py = np.meshgrid(xs, ys)
+        self.geom = SampleGeometry(self.px, self.py, (self.H, self.W))
+        self.stack = np.random.default_rng(11).random((3, self.H, self.W))
+
+    def test_corners_equal_brute_force_gather(self):
+        cx = np.clip(self.px, 0.0, self.W - 1.0)
+        cy = np.clip(self.py, 0.0, self.H - 1.0)
+        x0 = np.minimum(np.floor(cx).astype(int), self.W - 2)
+        y0 = np.minimum(np.floor(cy).astype(int), self.H - 2)
+        assert (x0 == self.W - 2).any() and (cx == self.W - 1.0).any()  # last column
+        assert (y0 == self.H - 2).any() and (cy == self.H - 1.0).any()  # last row
+        for data in (self.stack[0], self.stack):
+            want = [data[..., y0 + dy, x0 + dx] for dy in (0, 1) for dx in (0, 1)]
+            for got, ref in zip(_corners(data, self.geom), want, strict=True):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_domain_masks_equal_range_test(self):
+        np.testing.assert_array_equal(self.geom.in_x, (self.px >= 0) & (self.px <= self.W - 1))
+        np.testing.assert_array_equal(self.geom.in_y, (self.py >= 0) & (self.py <= self.H - 1))
+
+    def test_subset_equals_geometry_of_taken_coordinates(self):
+        idx = np.array([0, 4, 5, 13, 20, 34])
+        sub = self.geom.subset(idx)
+        ref = SampleGeometry(self.px.take(idx), self.py.take(idx), (self.H, self.W))
+        assert sub.shape == ref.shape
+        for name in SampleGeometry._ARRAYS:
+            got, want = getattr(sub, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_stacked_slopes_equal_per_channel_calls(self):
+        for geom in (self.geom, self.geom.subset(np.arange(0, 35, 3))):
+            ddx, ddy = bilinear_slopes(self.stack, geom)
+            for k, channel in enumerate(self.stack):
+                cx, cy = bilinear_slopes(channel, geom)
+                np.testing.assert_array_equal(ddx[k], cx)
+                np.testing.assert_array_equal(ddy[k], cy)
+
+    def test_sample_coords_equal_meshgrid_form(self):
+        u = np.random.default_rng(12).normal(scale=3.0, size=(self.H, self.W, 2))
+        xx, yy = np.meshgrid(np.arange(self.W, dtype=float), np.arange(self.H, dtype=float))
+        px, py = sample_coords(DisplacementField(u))
+        assert px.tobytes() == (xx + u[..., 0]).tobytes()
+        assert py.tobytes() == (yy + u[..., 1]).tobytes()
 
 
 class TestNearestSample:

@@ -463,6 +463,7 @@ BAD_INPUTS = {
                                  "--moving", "{d}/spacing3.raw", "--out", "{d}/out"],
     "spacing_inf": [*REGISTER_PAIR, "--spacing", "inf"],
     "spacing_nan": [*REGISTER_PAIR, "--spacing", "nan"],
+    "spacing_sub_pixel": [*REGISTER_PAIR, "--spacing", "1e-9"],
     "alpha_nan": [*REGISTER_PAIR, "--alpha", "nan"],
     "register_without_out": ["register", "--fixed", "{d}/img.raw", "--moving", "{d}/img.raw"],
     "unknown_flag": [*REGISTER_PAIR, "--no-such-flag"],
@@ -493,6 +494,24 @@ def test_bad_input_exits_one_line(bad_inputs, case):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     written = set(bad_inputs.rglob("*")) - before
     assert all(bad_inputs / "out" in (p, *p.parents) for p in written), written
+
+
+def test_numerical_failure_exits_two(tmp_path):
+    """A non-finite loss, run as a process: exit 2 and one ``numerical error:`` line
+    naming the level and iteration, no traceback."""
+    rng = np.random.default_rng(0)
+    for name in ("fixed", "moving"):
+        regio.write_raw_image(tmp_path / f"{name}.raw", Image2D(rng.random((32, 32))))
+    proc = subprocess.run([sys.executable, "-m", "defreg.cli", "register",
+                           "--fixed", str(tmp_path / "fixed.raw"),
+                           "--moving", str(tmp_path / "moving.raw"), "--out", str(tmp_path / "out"),
+                           "--delta", "1e308", "--levels", "2"],
+                          env=_cli_env(), capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical error:"), proc.stderr
+    assert "(level=1, iteration=0," in lines[0], proc.stderr
 
 
 def test_entry_without_images_does_not_stop_the_batch(bad_inputs, capsys):

@@ -183,7 +183,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_levels=0), dict(finest_control_spacing_px=0.0),
-        dict(max_iters_per_level=0),
+        dict(max_iters_per_level=0), dict(finest_control_spacing_px=0.5),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -205,6 +205,16 @@ class TestValidation:
                          num_classes=pair.moving_labels.num_classes)
         with pytest.raises(DomainError, match="moving label map"):
             register(pair.fixed_image, pair.moving_image, pair.fixed_labels, small, FAST)
+
+    def test_non_finite_loss_raises_with_level_and_iteration(self):
+        from defreg.errors import NumericalError
+
+        pair = small_pair()
+        cfg = RegistrationConfig(weights=LossWeights(delta=1e308), num_levels=2)
+        with pytest.raises(NumericalError, match="non-finite loss at level start") as info:
+            register(pair.fixed_image, pair.moving_image, cfg=cfg)
+        assert info.value.level == cfg.num_levels - 1  # the coarsest level runs first
+        assert info.value.iteration == 0
 
 
 @pytest.fixture(scope="module")

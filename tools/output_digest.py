@@ -3,28 +3,32 @@
 
     python3 tools/output_digest.py ROOT > digests.txt
 
-``ROOT`` is the root of a checkout; its ``src/defreg`` is imported and the
+``ROOT`` is the root of a checkout; its ``src/defreg`` is imported, the
 criterion-5 recipe (``ablation_pair``) is imported from its
-``tests/test_acceptance.py``, so the recipe is never copied here. The 86
-items are:
+``tests/test_acceptance.py`` and the benchmark inputs (``make_cases``) from its
+``perfbench/run.py``, so no recipe is copied here. The 102 items are:
 
 * criterion 4: for ten seeded 112 px pairs, the ground-truth label map that
   ``make_pair`` warps, the registered field and ``report_dict()`` (30);
 * criterion 5: the ten supervision label pairs (10) and, for every pair and
   weight ablation, the registered field with its Dice and folding (40);
-* criterion 7: the six files that ``register --manifest`` writes (6).
+* criterion 7: the six files that ``register --manifest`` writes (6);
+* benchmark: the first pass of every ``perfbench`` workload at seed 40, each
+  pair registered in-process with the default config, its field and the loss
+  traces of every level (16).
 
 Two checkouts produce the same outputs when the two listings are equal:
 
     diff <(python3 tools/output_digest.py A) <(python3 tools/output_digest.py B)
 
-It runs in about 40 s on 2 cores.
+It runs in about 35 s on 2 cores.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import json
 import sys
 import tempfile
@@ -88,6 +92,16 @@ def digests(root: Path):
               for pid in ("pair_000", "pair_001")
               for name in ("field.raw", "grid.raw", "report.json")]
     yield from c7
+
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)  # its dataclasses look their module up by name
+    for workload in bench.WORKLOADS:
+        for case in bench.make_cases(workload, 40, bench.DEFAULT_SIZE[workload],
+                                     bench.DEFAULT_PAIRS[workload]):
+            res = register(case.fixed, case.moving, case.sup_fixed, case.sup_moving, cfg)
+            yield (f"bench.{workload}.{case.pid}",
+                   _sha(_field(res.field), [t.losses for t in res.level_traces]))
 
 
 def main(argv=None):
