@@ -19,6 +19,7 @@ about 3/10/24% of the pixels. A stack that is not one-hot is all band.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,26 +53,6 @@ class LossWeights:
             raise ConfigurationError("edge parameter epsilon must be positive and finite")
 
 
-@dataclass(frozen=True, slots=True)
-class _ForwardState:
-    """What the backward pass of one :func:`total_loss` evaluation needs: bare
-    arrays, from which :meth:`LossReport.backward` builds the cotangents only
-    for the trials a caller accepts. It holds no reference to its report, so
-    both are freed by reference counting as soon as the caller drops them.
-    """
-
-    grid: ControlGrid
-    weights: LossWeights
-    spacing: float  # pixel spacing of the level
-    geom: SampleGeometry
-    moving: np.ndarray
-    ngf: tuple | None  # the NGF adjoint's intermediates, None without the distance term
-    channels: np.ndarray | None  # moving one-hot channels, None without the boundary term
-    band: np.ndarray | None  # flat indices of the band pixels
-    band_geom: SampleGeometry | None  # where the band pixels sample the channels
-    b_diff: np.ndarray | None  # warped minus fixed one-hot channels on the band, (K, band)
-
-
 @dataclass
 class LossReport:
     d_value: float
@@ -82,68 +63,49 @@ class LossReport:
     grad_r: np.ndarray | None = None  # set by the forward pass, the others by backward()
     grad_b: np.ndarray | None = None
     grad_total: np.ndarray | None = None
-    forward: _ForwardState | None = field(default=None, repr=False, compare=False)
+    pullback: Callable | None = field(default=None, repr=False, compare=False)
 
     def backward(self) -> np.ndarray:
-        """Build the NGF and boundary cotangents from the stored forward state,
-        fill ``grad_d``, ``grad_b`` and ``grad_total`` (the forward pass set
-        ``grad_r``), release that state and return ``grad_total``; a second
-        call only returns it."""
-        s, self.forward = self.forward, None
-        if s is None:
-            return self.grad_total
-        w = s.weights
-        # an absent term's gradient is zero; only present terms are splatted
-        self.grad_d = np.zeros_like(s.grid.coeffs)
-        self.grad_b = np.zeros_like(s.grid.coeffs)
-        if s.ngf is not None:
-            d_grad_warped = _ngf_adjoint(s.ngf, s.spacing)
-            dmx, dmy = bilinear_slopes(s.moving, s.geom)
-            du_d = np.stack([d_grad_warped * dmx, d_grad_warped * dmy], axis=-1)
-            self.grad_d = splat_to_grid(du_d, s.grid)
-        if s.b_diff is not None:
-            b_grad = s.b_diff  # the state is released: scale its difference in place
-            b_grad *= s.spacing * s.spacing
-            # the slopes are exactly zero off the band, so only band pixels get a force
-            dkx, dky = bilinear_slopes(s.channels, s.band_geom)
-            du_b = np.zeros((s.geom.i00.size, 2))
-            du_b[s.band, 0] = np.sum(b_grad * dkx, axis=0)
-            du_b[s.band, 1] = np.sum(b_grad * dky, axis=0)
-            self.grad_b = splat_to_grid(du_b.reshape(*s.geom.shape, 2), s.grid)
-        self.grad_total = w.delta * self.grad_d + w.alpha * self.grad_r + w.beta * self.grad_b
+        """Run the forward pass's pullback once, fill ``grad_d``, ``grad_b`` and
+        ``grad_total`` (the forward pass set ``grad_r``), drop the pullback and
+        return ``grad_total``; a second call only returns it."""
+        pullback, self.pullback = self.pullback, None
+        if pullback is not None:
+            self.grad_d, self.grad_b, self.grad_total = pullback()
         return self.grad_total
+
+
+def _ngf_terms(gfx, gfy, gmx, gmy, epsilon: float):
+    """The pointwise NGF integrand and the three sums it is built from:
+    a = <gM,gF> + eps^2, b = |gM|^2 + eps^2, c = |gF|^2 + eps^2."""
+    e2 = epsilon * epsilon
+    a = gmx * gfx + gmy * gfy + e2
+    b = gmx * gmx + gmy * gmy + e2
+    c = gfx * gfx + gfy * gfy + e2
+    return 1.0 - (a * a) / (b * c), a, b, c
 
 
 def ngf_integrand(gfx, gfy, gmx, gmy, epsilon: float):
     """Pointwise NGF integrand 1 - <gM,gF>_eps^2 / (|gM|_eps^2 |gF|_eps^2), in [0,1]."""
-    e2 = epsilon * epsilon
-    a = gmx * gfx + gmy * gfy + e2
-    b = gmx * gmx + gmy * gmy + e2
-    c = gfx * gfx + gfy * gfy + e2
-    return 1.0 - (a * a) / (b * c)
+    return _ngf_terms(gfx, gfy, gmx, gmy, epsilon)[0]
 
 
 def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float):
-    """NGF value and the intermediates :func:`_ngf_adjoint` needs."""
-    e2 = epsilon * epsilon
+    """NGF value and its pullback: a closure over the image gradients and the
+    three sums that returns the gradient w.r.t. the warped intensity values."""
     gfx, gfy = central_gradient_raw(fixed_data, spacing)
     gmx, gmy = central_gradient_raw(warped_data, spacing)
-    a = gmx * gfx + gmy * gfy + e2
-    b = gmx * gmx + gmy * gmy + e2
-    c = gfx * gfx + gfy * gfy + e2
+    integrand, a, b, c = _ngf_terms(gfx, gfy, gmx, gmy, epsilon)
     sp2 = spacing * spacing
-    value = 0.5 * sp2 * np.sum(1.0 - (a * a) / (b * c))
-    return float(value), (gfx, gfy, gmx, gmy, a, b, c)
+    value = 0.5 * sp2 * np.sum(integrand)
 
+    def pullback() -> np.ndarray:
+        # d(value)/d gM_j = sp2 * (a^2 gM_j / b^2 - a gF_j / b) / c
+        qx = sp2 * (a * a * gmx / (b * b) - a * gfx / b) / c
+        qy = sp2 * (a * a * gmy / (b * b) - a * gfy / b) / c
+        return gradient_adjoint(qx, qy, spacing)
 
-def _ngf_adjoint(inter, spacing: float) -> np.ndarray:
-    """Gradient of the NGF value w.r.t. the warped intensity values."""
-    gfx, gfy, gmx, gmy, a, b, c = inter
-    sp2 = spacing * spacing
-    # d(value)/d gM_j = sp2 * (a^2 gM_j / b^2 - a gF_j / b) / c
-    qx = sp2 * (a * a * gmx / (b * b) - a * gfx / b) / c
-    qy = sp2 * (a * a * gmy / (b * b) - a * gfy / b) / c
-    return gradient_adjoint(qx, qy, spacing)
+    return float(value), pullback
 
 
 def curvature(grid: ControlGrid, width: int, height: int, spacing: float):
@@ -185,8 +147,9 @@ def total_loss(fixed: Image2D, moving: Image2D,
 
     This is the forward pass: the three values (B's from the kernel that
     :func:`boundary_ssd` uses) and the curvature gradient, which costs nothing
-    more. The report keeps bare arrays, from which ``report.backward()`` builds
-    the other gradients later; ``with_grad`` runs it at once.
+    more. The report keeps the pullback, a closure over the forward pass's
+    arrays that ``report.backward()`` runs to build the other gradients;
+    ``with_grad`` runs it at once.
 
     B is exact but narrow-band: one integer gather of ``moving_oh.cell_labels``
     at the samples' cells finds the pixels whose sample is a one-hot vector
@@ -228,19 +191,36 @@ def total_loss(fixed: Image2D, moving: Image2D,
         b_value += 0.5 * fixed.spacing * fixed.spacing * uniform
 
     d_value = 0.0
-    ngf = None
+    ngf_pullback = None
     if w.delta != 0.0:
         warped = bilinear_sample_with_grad(moving.data, geom)
-        d_value, ngf = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon)
+        d_value, ngf_pullback = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon)
 
     r_value, grad_r = curvature(grid, fixed.width, fixed.height, fixed.spacing)
 
+    def pullback():
+        # an absent term's gradient is zero; only present terms are splatted
+        grad_d = np.zeros_like(grid.coeffs)
+        grad_b = np.zeros_like(grid.coeffs)
+        if ngf_pullback is not None:
+            d_grad_warped = ngf_pullback()
+            dmx, dmy = bilinear_slopes(moving.data, geom)
+            du_d = np.stack([d_grad_warped * dmx, d_grad_warped * dmy], axis=-1)
+            grad_d = splat_to_grid(du_d, grid)
+        if b_diff is not None:
+            b_grad = b_diff  # the pullback runs once: scale the difference in place
+            b_grad *= fixed.spacing * fixed.spacing
+            # the slopes are exactly zero off the band, so only band pixels get a force
+            dkx, dky = bilinear_slopes(moving_oh.channels, band_geom)
+            du_b = np.zeros((geom.i00.size, 2))
+            du_b[band, 0] = np.sum(b_grad * dkx, axis=0)
+            du_b[band, 1] = np.sum(b_grad * dky, axis=0)
+            grad_b = splat_to_grid(du_b.reshape(*geom.shape, 2), grid)
+        return grad_d, grad_b, w.delta * grad_d + w.alpha * grad_r + w.beta * grad_b
+
     total = w.delta * d_value + w.alpha * r_value + w.beta * b_value
-    report = LossReport(
-        d_value=d_value, r_value=r_value, b_value=b_value, total=float(total), grad_r=grad_r,
-        forward=_ForwardState(grid, w, fixed.spacing, geom, moving.data, ngf,
-                              moving_oh.channels if use_boundary else None,
-                              band, band_geom, b_diff))
+    report = LossReport(d_value=d_value, r_value=r_value, b_value=b_value, total=float(total),
+                        grad_r=grad_r, pullback=pullback)
     if with_grad:
         report.backward()
     return report

@@ -120,6 +120,15 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
         return total_loss(fixed, moving, fixed_oh, moving_oh,
                           ControlGrid(grid.spacing_px, c), w, with_grad=False)
 
+    def gradient_norm(g, iteration):
+        # finite entries whose squares overflow give inf: an error, not a warning
+        with np.errstate(over="ignore"):
+            gnorm = float(np.linalg.norm(g))
+        if not np.isfinite(gnorm):
+            raise NumericalError("non-finite gradient norm", level=level,
+                                 iteration=iteration, weights=asdict(w))
+        return gnorm
+
     rep = forward(coeffs)
     f0 = rep.total
     if not np.isfinite(f0):
@@ -127,11 +136,10 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
                              iteration=0, weights=asdict(w))
     g = rep.backward()
     losses = [f0]
-    gnorm0 = float(np.linalg.norm(g))
+    gnorm0 = gnorm = gradient_norm(g, 0)
     step = 1.0 / (float(np.abs(g).max()) + 1e-12)
     termination = "max_iters"
     for it in range(cfg.max_iters_per_level):
-        gnorm = float(np.linalg.norm(g))
         if gnorm <= GRADIENT_TOLERANCE * gnorm0:
             termination = "gradient_tolerance"
             break
@@ -140,7 +148,7 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             trial = coeffs - t * g
-            rep = None  # free the rejected trial's forward state before the next one
+            rep = None  # free the rejected trial's pullback before the next forward pass
             rep = forward(trial)
             ft = rep.total
             if not np.isfinite(ft):
@@ -156,6 +164,7 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
         # the accepted trial's forward pass is the new point's: only its backward pass runs
         coeffs = trial
         f0, g = ft, rep.backward()
+        gnorm = gradient_norm(g, it + 1)
         losses.append(f0)
         step = 2.0 * t  # warm-start next trial from the last accepted step
     return ControlGrid(grid.spacing_px, coeffs), losses, termination

@@ -29,8 +29,14 @@ from defreg.bspline import (
     sample_coords,
     splat_to_grid,
 )
-from defreg.image import OneHotStack, SampleGeometry, bilinear_sample_with_grad, bilinear_slopes
-from defreg.lossterms import _ngf_adjoint, _ngf_core, _ssd_core, ngf_integrand
+from defreg.image import (
+    OneHotStack,
+    SampleGeometry,
+    bilinear_sample_with_grad,
+    bilinear_slopes,
+    central_gradient_raw,
+)
+from defreg.lossterms import _ngf_core, _ssd_core, ngf_integrand
 from defreg.phantom import PhantomSpec, make_pair
 from defreg.solver import _build_onehot_pyramid, _build_pyramid
 
@@ -98,12 +104,21 @@ class TestNgf:
             value, _ = _ngf_core(f.data, m.data, spacing, 0.1)
             assert value == pytest.approx(ngf_value_oracle(f, m, 0.1), rel=1e-12)
 
+    def test_value_is_integrand_sum_bit_for_bit(self):
+        # criterion 2 bounds ngf_integrand; the solver's value is its sum
+        rng = np.random.default_rng(12)
+        f, m, spacing = rng.random((14, 10)), rng.random((14, 10)), 2.5
+        value, _ = _ngf_core(f, m, spacing, 0.1)
+        integrand = ngf_integrand(*central_gradient_raw(f, spacing),
+                                  *central_gradient_raw(m, spacing), 0.1)
+        assert value == float(0.5 * spacing * spacing * np.sum(integrand))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         f = rng.random((9, 9))
         m = rng.random((9, 9))
-        _, inter = _ngf_core(f, m, 1.0, 0.1)
-        grad = _ngf_adjoint(inter, 1.0)
+        _, pullback = _ngf_core(f, m, 1.0, 0.1)
+        grad = pullback()
         h = 1e-6
         for (i, j) in [(0, 0), (4, 4), (8, 3), (2, 7)]:
             bumped = m.copy()
@@ -402,34 +417,45 @@ class TestNarrowBand:
                                    atol=1e-12 * np.abs(grad).max())
 
 
+FORWARD_CASES = ["supervised", "unsupervised", "delta0"]
+
+
+def _forward_case(case, seed):
+    """A random problem and weights for one of the three shapes of pullback:
+    with both terms, without the boundary term, and without the distance term."""
+    fixed, moving, foh, moh, grid = _random_problem(seed)
+    w = LossWeights(delta=0.0) if case == "delta0" else LossWeights()
+    if case == "unsupervised":
+        foh = moh = None
+    return fixed, moving, foh, moh, grid, w
+
+
 class TestForwardBackward:
     """``total_loss(with_grad=False)`` is the forward pass; ``backward()`` on its
     report gives exactly the gradients of a ``with_grad=True`` evaluation."""
 
-    @pytest.mark.parametrize("case", ["supervised", "unsupervised", "delta0"])
+    @pytest.mark.parametrize("case", FORWARD_CASES)
     def test_backward_equals_with_grad(self, case):
-        fixed, moving, foh, moh, grid = _random_problem(13)
-        w = LossWeights(delta=0.0) if case == "delta0" else LossWeights()
-        if case == "unsupervised":
-            foh = moh = None
+        fixed, moving, foh, moh, grid, w = _forward_case(case, 13)
         full = total_loss(fixed, moving, foh, moh, grid, w)
         rep = total_loss(fixed, moving, foh, moh, grid, w, with_grad=False)
-        assert rep.grad_total is None and rep.forward is not None
+        assert rep.grad_total is None and rep.pullback is not None
         grad = rep.backward()
-        assert rep.forward is None  # the forward state is released
+        assert rep.pullback is None  # the pullback is released
         assert grad is rep.grad_total
         assert rep.total == full.total
         for name in ("grad_d", "grad_r", "grad_b", "grad_total"):
             assert np.array_equal(getattr(rep, name), getattr(full, name)), name
         assert rep.backward() is grad  # a second call changes nothing
 
-    def test_forward_report_freed_without_cycle_collector(self):
-        """A report and its forward state form no reference cycle, so dropping
-        the last reference frees them even with the cycle collector off."""
-        fixed, moving, foh, moh, grid = _random_problem(14)
+    @pytest.mark.parametrize("case", FORWARD_CASES)
+    def test_forward_report_freed_without_cycle_collector(self, case):
+        """A report and its pullback form no reference cycle, so dropping the
+        last reference frees them even with the cycle collector off."""
+        fixed, moving, foh, moh, grid, w = _forward_case(case, 14)
         gc.disable()
         try:
-            rep = total_loss(fixed, moving, foh, moh, grid, LossWeights(), with_grad=False)
+            rep = total_loss(fixed, moving, foh, moh, grid, w, with_grad=False)
             ref = weakref.ref(rep)
             del rep
             assert ref() is None

@@ -192,29 +192,39 @@ class TestValidation:
     def test_single_label_map_rejected(self):
         from defreg.errors import DomainError
 
+        # label maps that do not form a pair: one is missing, or their classes differ
         pair = small_pair()
-        with pytest.raises(DomainError):
-            register(pair.fixed_image, pair.moving_image,
-                     pair.fixed_labels, None, FAST)
+        more_classes = LabelMap(pair.moving_labels.labels,
+                                num_classes=pair.moving_labels.num_classes + 1)
+        for moving_lab, match in ((None, "both label maps"), (more_classes, "num_classes")):
+            with pytest.raises(DomainError, match=match):
+                register(pair.fixed_image, pair.moving_image,
+                         pair.fixed_labels, moving_lab, FAST)
 
     def test_moving_label_map_of_wrong_size_rejected(self):
         from defreg.errors import DomainError
 
         pair = small_pair()
-        small = LabelMap(pair.moving_labels.labels[:-2, :-2],
-                         num_classes=pair.moving_labels.num_classes)
-        with pytest.raises(DomainError, match="moving label map"):
-            register(pair.fixed_image, pair.moving_image, pair.fixed_labels, small, FAST)
+        labs = (pair.fixed_labels, pair.moving_labels)
+        for i, match in ((1, "moving label map"), (0, "label map and image dimensions")):
+            small = list(labs)
+            small[i] = LabelMap(labs[i].labels[:-2, :-2], num_classes=labs[i].num_classes)
+            with pytest.raises(DomainError, match=match):
+                register(pair.fixed_image, pair.moving_image, *small, FAST)
 
     def test_non_finite_loss_raises_with_level_and_iteration(self):
         from defreg.errors import NumericalError
 
         pair = small_pair()
         cfg = RegistrationConfig(weights=LossWeights(delta=1e308), num_levels=2)
-        with pytest.raises(NumericalError, match="non-finite loss at level start") as info:
-            register(pair.fixed_image, pair.moving_image, cfg=cfg)
-        assert info.value.level == cfg.num_levels - 1  # the coarsest level runs first
-        assert info.value.iteration == 0
+        # different images: the loss overflows; the same image twice: the loss is 0,
+        # but the norm of the finite gradient overflows
+        for moving, match in ((pair.moving_image, "non-finite loss at level start"),
+                              (pair.fixed_image, "non-finite gradient norm")):
+            with pytest.raises(NumericalError, match=match) as info:
+                register(pair.fixed_image, moving, cfg=cfg)
+            assert info.value.level == cfg.num_levels - 1  # the coarsest level runs first
+            assert info.value.iteration == 0
 
 
 @pytest.fixture(scope="module")
