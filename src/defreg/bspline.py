@@ -128,14 +128,14 @@ def _check_coverage(grid: ControlGrid, width: int, height: int):
         )
 
 
-def _basis_matrix(coords, spacing: float, n: int) -> np.ndarray:
-    """Dense (len(coords), n) matrix of cubic B-spline weights at 1D coordinates.
+def _basis_matrix(t, n: int) -> np.ndarray:
+    """Dense (len(t), n) matrix of cubic B-spline weights at lattice coordinates t.
 
-    Row i holds the 4 taps of coordinate i at their array columns (lattice
-    index + 1). Taps beyond the lattice fold onto the nearest edge column,
-    which preserves partition of unity for evaluation outside the covered box.
+    Node l sits at t = l. Row i holds the 4 taps of t[i] at their array columns
+    (lattice index + 1). Taps beyond the lattice fold onto the nearest edge
+    column, which preserves partition of unity outside the covered box.
     """
-    t = np.asarray(coords, dtype=np.float64) / spacing
+    t = np.asarray(t, dtype=np.float64)
     i0 = np.floor(t).astype(np.intp)
     f = t - i0
     rows = np.arange(t.size)
@@ -149,7 +149,7 @@ def _basis_matrix(coords, spacing: float, n: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _pixel_basis(count: int, spacing: float, n: int) -> np.ndarray:
     """Read-only basis matrix at pixels 0..count-1; fixed for a pyramid level."""
-    out = _basis_matrix(np.arange(count, dtype=np.float64), spacing, n)
+    out = _basis_matrix(np.arange(count, dtype=np.float64) / spacing, n)
     out.flags.writeable = False
     return out
 
@@ -210,16 +210,15 @@ def prolongate(grid: ControlGrid, fine_width: int, fine_height: int) -> ControlG
     coarse field up to interpolation error.
     """
     rows_f, cols_f = grid_shape_for(fine_width, fine_height, grid.spacing_px)
-    # fine lattice node l sits at fine pixel l*s, i.e. coarse pixel l*s/2;
-    # exterior fine nodes fall outside the coarse lattice, so evaluate through
-    # a linearly extrapolated coefficient pad (exact for constant/linear fields)
+    # fine lattice node l sits at fine pixel l*s, i.e. coarse lattice position
+    # l/2; exterior fine nodes fall outside the coarse lattice, so evaluate through
+    # a linearly extrapolated pad of `pad` nodes (exact for constant/linear fields)
     pad = 3
     ext = _extrapolate_pad(grid.coeffs, pad)
-    s = grid.spacing_px
-    xs = (np.arange(cols_f, dtype=np.float64) - 1.0) * s / 2.0 + pad * s
-    ys = (np.arange(rows_f, dtype=np.float64) - 1.0) * s / 2.0 + pad * s
-    fine = _expand(ext, _basis_matrix(ys, s, ext.shape[0]), _basis_matrix(xs, s, ext.shape[1]))
-    return ControlGrid(s, 2.0 * fine)
+    tx = (np.arange(cols_f, dtype=np.float64) - 1.0) / 2.0 + pad
+    ty = (np.arange(rows_f, dtype=np.float64) - 1.0) / 2.0 + pad
+    fine = _expand(ext, _basis_matrix(ty, ext.shape[0]), _basis_matrix(tx, ext.shape[1]))
+    return ControlGrid(grid.spacing_px, 2.0 * fine)
 
 
 def _extrapolate_pad(coeffs: np.ndarray, pad: int) -> np.ndarray:

@@ -253,49 +253,40 @@ def nearest_sample(labels: np.ndarray, g: SampleGeometry) -> np.ndarray:
 # finite differences
 
 
-def _diff_x(f: np.ndarray, h: float) -> np.ndarray:
+def _diff(f: np.ndarray, h: float) -> np.ndarray:
+    """Central differences along axis 0, one-sided at its ends. The x-derivative
+    runs it on ``.T`` views: each element gets the same IEEE operations in the same
+    order, at less cost per call than ``np.moveaxis`` (which shows at 16 px)."""
     g = np.empty_like(f)
-    g[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * h)
-    g[:, 0] = (f[:, 1] - f[:, 0]) / h
-    g[:, -1] = (f[:, -1] - f[:, -2]) / h
+    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    g[0] = (f[1] - f[0]) / h
+    g[-1] = (f[-1] - f[-2]) / h
     return g
 
 
-def _diff_y(f: np.ndarray, h: float) -> np.ndarray:
-    g = np.empty_like(f)
-    g[1:-1, :] = (f[2:, :] - f[:-2, :]) / (2.0 * h)
-    g[0, :] = (f[1, :] - f[0, :]) / h
-    g[-1, :] = (f[-1, :] - f[-2, :]) / h
-    return g
+def _add_diff_adjoint(g: np.ndarray, q: np.ndarray, h: float):
+    """``g += D' q`` in place, where D is :func:`_diff` and ' the transpose."""
+    mid, first, last = q[1:-1] / (2.0 * h), q[0] / h, q[-1] / h
+    g[2:] += mid
+    g[:-2] -= mid
+    g[0] -= first
+    g[1] += first
+    g[-1] += last
+    g[-2] -= last
 
 
 def central_gradient_raw(data: np.ndarray, spacing: float):
     """Central differences in the interior, one-sided on the boundary; returns (gx, gy)."""
     if data.shape[0] < 3 or data.shape[1] < 3:
         raise DomainError("gradient needs at least 3 pixels per axis")
-    return _diff_x(data, spacing), _diff_y(data, spacing)
+    return _diff(data.T, spacing).T, _diff(data, spacing)
 
 
 def gradient_adjoint(qx: np.ndarray, qy: np.ndarray, spacing: float) -> np.ndarray:
     """Transpose of :func:`central_gradient_raw` applied to a cotangent pair."""
-    h = spacing
     g = np.zeros_like(qx)
-    # x-derivative transpose
-    mid, first, last = qx[:, 1:-1] / (2.0 * h), qx[:, 0] / h, qx[:, -1] / h
-    g[:, 2:] += mid
-    g[:, :-2] -= mid
-    g[:, 0] -= first
-    g[:, 1] += first
-    g[:, -1] += last
-    g[:, -2] -= last
-    # y-derivative transpose
-    mid, first, last = qy[1:-1, :] / (2.0 * h), qy[0, :] / h, qy[-1, :] / h
-    g[2:, :] += mid
-    g[:-2, :] -= mid
-    g[0, :] -= first
-    g[1, :] += first
-    g[-1, :] += last
-    g[-2, :] -= last
+    _add_diff_adjoint(g.T, qx.T, spacing)
+    _add_diff_adjoint(g, qy, spacing)
     return g
 
 

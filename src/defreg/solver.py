@@ -214,6 +214,8 @@ def register(fixed: Image2D, moving: Image2D,
         fixed_oh_pyr = [None] * cfg.num_levels
         moving_oh_pyr = [None] * cfg.num_levels
 
+    # each level, and any NumericalError it raises, sees the weights the loss uses
+    level_cfg = replace(cfg, weights=w)
     spacing_px = cfg.finest_control_spacing_px
     traces = []
     grid = None
@@ -225,7 +227,7 @@ def register(fixed: Image2D, moving: Image2D,
         else:
             grid = prolongate(grid, f_l.width, f_l.height)
         grid, losses, termination = _solve_level(
-            f_l, m_l, fixed_oh_pyr[level], moving_oh_pyr[level], grid, cfg, level)
+            f_l, m_l, fixed_oh_pyr[level], moving_oh_pyr[level], grid, level_cfg, level)
         traces.append(LevelTrace(level=level, width=f_l.width, height=f_l.height,
                                  losses=losses, termination=termination))
 

@@ -106,8 +106,11 @@ class TestProlongate:
         fine = prolongate(make_grid(8, 8, 8.0), 16, 16)
         assert np.all(fine.coeffs == 0)
 
-    def test_constant_doubles(self):
-        grid = make_grid(8, 8, 8.0)
+    # lattice positions are never scaled by the spacing, so the largest finite
+    # spacing neither overflows nor warns
+    @pytest.mark.parametrize("spacing", [8.0, 1e308])
+    def test_constant_doubles(self, spacing):
+        grid = make_grid(8, 8, spacing)
         grid.coeffs[:] = [0.5, -1.0]
         fine = prolongate(grid, 16, 16)
         np.testing.assert_allclose(fine.coeffs[..., 0], 1.0, atol=1e-9)

@@ -516,6 +516,22 @@ def test_numerical_failure_exits_two(tmp_path):
         assert "(level=1, iteration=0," in lines[0], proc.stderr
 
 
+def test_largest_finite_control_spacing_registers_without_warning(tmp_path):
+    """Prolongation works on lattice positions, so a control spacing of 1e308
+    neither overflows nor warns: exit 0 and the summary as the only stderr line."""
+    rng = np.random.default_rng(0)
+    for name in ("fixed", "moving"):
+        regio.write_raw_image(tmp_path / f"{name}.raw", Image2D(rng.random((32, 32))))
+    proc = subprocess.run([sys.executable, "-m", "defreg.cli", "register",
+                           "--fixed", str(tmp_path / "fixed.raw"),
+                           "--moving", str(tmp_path / "moving.raw"), "--out", str(tmp_path / "out"),
+                           "--levels", "2", "--spacing", "1e308"],
+                          env=_cli_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "final loss" in lines[0], proc.stderr
+
+
 def test_entry_without_images_does_not_stop_the_batch(bad_inputs, capsys):
     pair = {"fixed_image": "img.raw", "moving_image": "img.raw"}
     regio.write_manifest(bad_inputs / "batch.json",

@@ -145,6 +145,35 @@ class TestOptimizerBehaviour:
         gc.collect()
         assert all(ref() is None for calls in built.values() for _, ref in calls)
 
+    # (level, iterations, termination, final loss) per level, coarsest first, and
+    # the field's largest |u| in px; recorded with OpenBLAS at 1 and 2 threads
+    FINGERPRINT = {
+        "labels": ([(2, 20, "max_iters", 415957.1236093721),
+                    (1, 20, "max_iters", 562844.3295163845),
+                    (0, 20, "max_iters", 335944.6519081617)], 1.232808747101605),
+        "unlabelled": ([(2, 20, "max_iters", 2.169060023379996),
+                        (1, 20, "max_iters", 3.0217175948051223),
+                        (0, 20, "max_iters", 4.674796375254185)], 1.0099321801562393),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FINGERPRINT))
+    def test_policy_fingerprint(self, case):
+        """The solver's behaviour on one fixed pair. The Armijo constant, the
+        backtracking factor, the warm start and the prolongation each move a
+        final loss here by far more than the tolerance
+        (``tools/solver_mutants.py``). A change that moves them by design
+        records the new values and why."""
+        pair = small_pair(seed=1, magnitude=2.0)
+        labels = (pair.fixed_labels, pair.moving_labels) if case == "labels" else (None, None)
+        res = register(pair.fixed_image, pair.moving_image, *labels,
+                       RegistrationConfig(max_iters_per_level=20))
+        levels, max_u = self.FINGERPRINT[case]
+        assert [(t.level, len(t.losses) - 1, t.termination) for t in res.level_traces] == \
+            [level[:3] for level in levels]
+        for trace, level in zip(res.level_traces, levels):
+            assert trace.losses[-1] == pytest.approx(level[3], rel=1e-9, abs=0.0)
+        assert float(np.abs(res.field.u).max()) == pytest.approx(max_u, rel=0.0, abs=1e-9)
+
     def test_report_dict_has_no_wall_clock(self):
         pair = small_pair(seed=0, magnitude=1.0)
         res = register(pair.fixed_image, pair.moving_image, cfg=FAST)
@@ -225,6 +254,8 @@ class TestValidation:
                 register(pair.fixed_image, moving, cfg=cfg)
             assert info.value.level == cfg.num_levels - 1  # the coarsest level runs first
             assert info.value.iteration == 0
+            # an unlabelled run's loss has no B term, and the error names the weights used
+            assert info.value.weights["beta"] == 0.0
 
 
 @pytest.fixture(scope="module")
