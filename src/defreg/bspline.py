@@ -146,14 +146,6 @@ def _basis_matrix(t, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _pixel_basis(count: int, spacing: float, n: int) -> np.ndarray:
-    """Read-only basis matrix at pixels 0..count-1; fixed for a pyramid level."""
-    out = _basis_matrix(np.arange(count, dtype=np.float64) / spacing, n)
-    out.flags.writeable = False
-    return out
-
-
 def _second_difference(b: np.ndarray) -> np.ndarray:
     """Edge-replicated second difference along axis 0: p[:-2] + p[2:] - 2b."""
     p = np.pad(b, ((1, 1), (0, 0)), mode="edge")
@@ -161,24 +153,27 @@ def _second_difference(b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _curvature_factors(height: int, width: int, spacing: float, rows: int, cols: int):
-    """Read-only Gram matrices of a level, stacked as G = [Ly'Ly; Ly'By; By'Ly; By'By]
-    and H = [Bx'Bx; Lx'Bx; Bx'Lx; Lx'Lx] (' is the transpose). By, Bx are its pixel
-    basis matrices and Ly, Lx their second differences, so the Laplacian stencil of
+def _level_operators(height: int, width: int, spacing: float, rows: int, cols: int):
+    """Read-only fixed operators of a level: its pixel basis matrices By (height, rows)
+    and Bx (width, cols), and the curvature Gram matrices stacked as
+    G = [Ly'Ly; Ly'By; By'Ly; By'By] and H = [Bx'Bx; Lx'Bx; Bx'Lx; Lx'Lx] (' is the
+    transpose, Ly, Lx the second differences of By, Bx). The Laplacian stencil of
     u = By C Bx' is Ly C Bx' + By C Lx', of squared norm <C, K(C)>, K(C) = sum_i G_i C H_i."""
-    by = _pixel_basis(height, spacing, rows)
-    bx = _pixel_basis(width, spacing, cols)
+    by = _basis_matrix(np.arange(height, dtype=np.float64) / spacing, rows)
+    bx = _basis_matrix(np.arange(width, dtype=np.float64) / spacing, cols)
     ly, lx = _second_difference(by), _second_difference(bx)
     g = np.concatenate([ly.T @ ly, ly.T @ by, by.T @ ly, by.T @ by])
     h = np.concatenate([bx.T @ bx, lx.T @ bx, bx.T @ lx, lx.T @ lx])
-    g.flags.writeable = h.flags.writeable = False
-    return g, h
+    for m in (by, bx, g, h):
+        m.flags.writeable = False
+    return by, bx, g, h
 
 
-def curvature_factors(grid: ControlGrid, width: int, height: int):
-    """The memoised :func:`_curvature_factors` of a grid covering width x height pixels."""
+def level_operators(grid: ControlGrid, width: int, height: int):
+    """``(By, Bx, G, H)`` of :func:`_level_operators` for a grid that covers a
+    width x height level; the one place a level's operators are checked and looked up."""
     _check_coverage(grid, width, height)
-    return _curvature_factors(height, width, grid.spacing_px, grid.rows, grid.cols)
+    return _level_operators(height, width, grid.spacing_px, grid.rows, grid.cols)
 
 
 def _expand(coeffs: np.ndarray, by: np.ndarray, bx: np.ndarray) -> np.ndarray:
@@ -188,17 +183,13 @@ def _expand(coeffs: np.ndarray, by: np.ndarray, bx: np.ndarray) -> np.ndarray:
 
 def densify(grid: ControlGrid, width: int, height: int) -> DisplacementField:
     """Expand the control grid into a dense per-pixel displacement field."""
-    _check_coverage(grid, width, height)
-    by = _pixel_basis(height, grid.spacing_px, grid.rows)
-    bx = _pixel_basis(width, grid.spacing_px, grid.cols)
+    by, bx, _, _ = level_operators(grid, width, height)
     return DisplacementField(_expand(grid.coeffs, by, bx))
 
 
 def splat_to_grid(grad_u: np.ndarray, grid: ControlGrid) -> np.ndarray:
     """Transpose of :func:`densify`: scatter a per-pixel cotangent to coefficients."""
-    h, w = grad_u.shape[:2]
-    by = _pixel_basis(h, grid.spacing_px, grid.rows)
-    bx = _pixel_basis(w, grid.spacing_px, grid.cols)
+    by, bx, _, _ = level_operators(grid, grad_u.shape[1], grad_u.shape[0])
     return _expand(grad_u, by.T, bx.T)
 
 
@@ -265,8 +256,8 @@ def warp_image(m: Image2D, field: DisplacementField) -> Image2D:
 
 def warp_labels(lab: LabelMap, field: DisplacementField) -> LabelMap:
     """Nearest-neighbor label warp; evaluation only, never inside the loss."""
-    geom = SampleGeometry(*sample_coords(field), lab.labels.shape)
-    return LabelMap(nearest_sample(lab.labels, geom), num_classes=lab.num_classes)
+    return LabelMap(nearest_sample(lab.labels, *sample_coords(field)),
+                    num_classes=lab.num_classes)
 
 
 def deformation_quality(field: DisplacementField) -> DeformationQuality:

@@ -244,9 +244,18 @@ def bilinear_slopes(data: np.ndarray, g: SampleGeometry):
     return ddx * g.in_x, ddy * g.in_y
 
 
-def nearest_sample(labels: np.ndarray, g: SampleGeometry) -> np.ndarray:
-    """Nearest-pixel lookup at the geometry's clamped points; ties round half-up on both axes."""
-    return labels.take(g.i00 + (g.fx >= 0.5) + g.shape[1] * (g.fy >= 0.5))
+def nearest_sample(labels: np.ndarray, px, py) -> np.ndarray:
+    """Nearest-pixel lookup at (px, py) clamped to the ``labels`` grid; ties round
+    half-up on both axes. Needs only rounded positions, not a :class:`SampleGeometry`."""
+    index = []
+    for p, n in ((py, labels.shape[0]), (px, labels.shape[1])):
+        p = np.asarray(p, dtype=np.float64)
+        if not np.isfinite(p).all():
+            raise DomainError("sample coordinates must be finite")
+        c = np.minimum(np.maximum(p, 0.0), n - 1.0)
+        i = np.floor(c)
+        index.append((i + (c - i >= 0.5)).astype(np.intp))
+    return labels[tuple(index)]
 
 
 # ---------------------------------------------------------------------------

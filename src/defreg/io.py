@@ -41,17 +41,22 @@ def _write_p5(path, array_uint: np.ndarray, maxval: int):
     Path(path).write_bytes(header + payload)
 
 
+# one header token after any run of whitespace bytes and whole comment lines; each
+# repetition consumes one of them, so a header with no token fails in linear time
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)")
+
+
 def _read_p5(path):
     blob = Path(path).read_bytes()
     # header: magic, width, height, maxval separated by whitespace/comments
     pos = 0
     fields = []
     while len(fields) < 4:
-        m = re.match(rb"(\s*(#[^\n]*\n)?)*([^\s#]+)", blob[pos:])
+        m = _PGM_TOKEN.match(blob, pos)
         if not m:
             raise DomainError(f"{path}: truncated PGM header")
-        fields.append(m.group(3))
-        pos += m.end()
+        fields.append(m.group(1))
+        pos = m.end()
     if fields[0] != b"P5":
         raise DomainError(f"{path}: not a binary PGM (P5) file")
     try:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import ControlGrid, curvature_factors, densify, sample_coords, splat_to_grid
+from .bspline import ControlGrid, densify, level_operators, sample_coords, splat_to_grid
 from .errors import ConfigurationError, DomainError
 from .image import (
     Image2D,
@@ -112,9 +112,9 @@ def curvature(grid: ControlGrid, width: int, height: int, spacing: float):
     """Curvature penalty 0.5 * integral of |Lap u_j|^2 of the grid's dense field on
     a width x height level with pixel spacing ``spacing``, and its gradient w.r.t.
     the coefficients: 0.5/sp^2 * sum_j <C_j, K(C_j)> and K(C_j)/sp^2 for the map K
-    of ``curvature_factors``, with no per-pixel work. Computed from u rather than
-    y, so the identity scores exactly zero."""
-    g, h = curvature_factors(grid, width, height)
+    of the level's Gram stacks G, H (``level_operators``), with no per-pixel work.
+    Computed from u rather than y, so the identity scores exactly zero."""
+    _, _, g, h = level_operators(grid, width, height)
     rows, cols = grid.rows, grid.cols
     # G @ C gives the four blocks G_i C_j of both components; laid side by side
     # as (2 * rows, 4 * cols) they meet H's four stacked blocks in one product

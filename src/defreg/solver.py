@@ -8,6 +8,7 @@ monotone non-increasing within a level.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -42,15 +43,15 @@ class RegistrationConfig:
     max_iters_per_level: int = 100
 
     def __post_init__(self):
-        if self.num_levels < 1:
-            raise ConfigurationError("num_levels must be >= 1")
+        for name in ("num_levels", "max_iters_per_level"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {count!r}")
         # a lattice finer than the pixels has more nodes than pixels, and its
         # grid and Gram matrices grow as 1/spacing^2
         if not 1 <= self.finest_control_spacing_px < np.inf:
             raise ConfigurationError("control spacing must be finite and at least 1 pixel, "
                                      f"got {self.finest_control_spacing_px!r}")
-        if self.max_iters_per_level < 1:
-            raise ConfigurationError("max_iters_per_level must be >= 1")
 
 
 @dataclass
@@ -120,20 +121,19 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
         return total_loss(fixed, moving, fixed_oh, moving_oh,
                           ControlGrid(grid.spacing_px, c), w, with_grad=False)
 
+    def check(value, what, iteration):
+        """``value`` if it is finite, else a ``NumericalError`` naming this level and iteration."""
+        if not np.isfinite(value):
+            raise NumericalError(what, level=level, iteration=iteration, weights=asdict(w))
+        return value
+
     def gradient_norm(g, iteration):
         # finite entries whose squares overflow give inf: an error, not a warning
         with np.errstate(over="ignore"):
-            gnorm = float(np.linalg.norm(g))
-        if not np.isfinite(gnorm):
-            raise NumericalError("non-finite gradient norm", level=level,
-                                 iteration=iteration, weights=asdict(w))
-        return gnorm
+            return check(float(np.linalg.norm(g)), "non-finite gradient norm", iteration)
 
     rep = forward(coeffs)
-    f0 = rep.total
-    if not np.isfinite(f0):
-        raise NumericalError("non-finite loss at level start", level=level,
-                             iteration=0, weights=asdict(w))
+    f0 = check(rep.total, "non-finite loss at level start", 0)
     g = rep.backward()
     losses = [f0]
     gnorm0 = gnorm = gradient_norm(g, 0)
@@ -145,20 +145,15 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
             break
         gg = gnorm * gnorm
         t = step
-        accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             trial = coeffs - t * g
             rep = None  # free the rejected trial's pullback before the next forward pass
             rep = forward(trial)
-            ft = rep.total
-            if not np.isfinite(ft):
-                raise NumericalError("non-finite loss during line search", level=level,
-                                     iteration=it, weights=asdict(w))
+            ft = check(rep.total, "non-finite loss during line search", it)
             if ft <= f0 - ARMIJO_CONSTANT * t * gg:
-                accepted = True
                 break
             t *= BACKTRACK_FACTOR
-        if not accepted:
+        else:
             termination = "line_search_failure"
             break
         # the accepted trial's forward pass is the new point's: only its backward pass runs

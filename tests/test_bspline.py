@@ -89,6 +89,13 @@ class TestDensify:
         with pytest.raises(ConfigurationError):
             densify(grid, 64, 64)
 
+    @pytest.mark.parametrize("width,height", [(64, 64), (64, 16), (16, 64)])
+    def test_splat_grid_too_small_rejected(self, width, height):
+        # a grid that does not cover the cotangent would fold its taps onto the edge nodes
+        grid = make_grid(16, 16, 8.0)
+        with pytest.raises(ConfigurationError):
+            splat_to_grid(np.ones((height, width, 2)), grid)
+
     @pytest.mark.parametrize("width,height,spacing", LATTICES)
     def test_splat_is_adjoint_of_densify(self, width, height, spacing):
         rng = np.random.default_rng(10)

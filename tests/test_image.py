@@ -41,7 +41,7 @@ def bilinear_at(img, p):
 
 def nearest_at(lab, p):
     """The nearest label at one point ``p = (x, y)``."""
-    return nearest_sample(lab.labels, SampleGeometry(p[0], p[1], lab.labels.shape))
+    return nearest_sample(lab.labels, p[0], p[1])
 
 
 class TestBilinearSample:
@@ -179,6 +179,23 @@ class TestNearestSample:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             nearest_at(self.lab, (np.inf, 0))
+
+    def test_matches_bilinear_cell_rounding(self):
+        # reference: the bilinear geometry's cell origin plus one on each axis where
+        # the weight is at least 0.5, on a 5x7 grid
+        h, w = 5, 7
+        labels = np.arange(h * w).reshape(h, w)
+        rng = np.random.default_rng(3)
+        edges = [-2.5, -0.5, -1e-12, 0.0, 0.5, 1.5, 2.5, 3.5, 5.5, 6.0, 6.5, 1e3]
+        px = np.concatenate([edges, [w - 1.0, w - 1.5, 4.0 - 1e-12], rng.uniform(-3, w + 2, 500),
+                             np.round(rng.uniform(-6, 2 * w + 4, 500)) / 2])
+        py = np.concatenate([edges[::-1], [h - 1.0, h - 1.5, 0.5], rng.uniform(-3, h + 2, 500),
+                             np.round(rng.uniform(-6, 2 * h + 4, 500)) / 2])
+        g = SampleGeometry(px, py, (h, w))
+        expected = labels.take(g.i00 + (g.fx >= 0.5) + w * (g.fy >= 0.5))
+        np.testing.assert_array_equal(nearest_sample(labels, px, py), expected)
+        np.testing.assert_array_equal(nearest_sample(labels, px.reshape(-1, 1), py.reshape(-1, 1)),
+                                      expected.reshape(-1, 1))
 
 
 class TestCentralGradient:

@@ -496,6 +496,20 @@ def test_bad_input_exits_one_line(bad_inputs, case):
     assert all(bad_inputs / "out" in (p, *p.parents) for p in written), written
 
 
+def test_truncated_pgm_header_fails_fast(bad_inputs):
+    """A header with no token after the magic is rejected in linear time; a header
+    pattern with nested repetition backtracked about 3x per two more bytes here."""
+    (bad_inputs / "blank.pgm").write_bytes(b"P5" + b" " * 4096)
+    proc = subprocess.run([sys.executable, "-m", "defreg.cli", "diff",
+                           "--a", str(bad_inputs / "blank.pgm"), "--b", str(bad_inputs / "img.raw"),
+                           "--out", str(bad_inputs / "d.pgm")],
+                          env=_cli_env(), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "truncated PGM header" in lines[0]
+
+
 def test_numerical_failure_exits_two(tmp_path):
     """A non-finite loss (two images) or gradient norm (one image twice), run as a
     process: exit 2 and one ``numerical error:`` line naming the level and

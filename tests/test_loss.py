@@ -21,10 +21,9 @@ from defreg import (
 )
 from defreg.bspline import (
     ControlGrid,
-    _curvature_factors,
-    _pixel_basis,
-    curvature_factors,
+    _level_operators,
     densify,
+    level_operators,
     random_smooth_deformation,
     sample_coords,
     splat_to_grid,
@@ -197,25 +196,25 @@ class TestCurvature:
             lap = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * u
             value, _ = curvature(grid, 20, height, 1.0)
             assert value == pytest.approx(0.5 * np.sum(lap * lap), rel=1e-12)
-        for m in curvature_factors(grid, 20, 17):  # the stacked G and H
+        for m in level_operators(grid, 20, 17):  # By, Bx and the stacked G and H
             assert not m.flags.writeable
             with pytest.raises(ValueError):
                 m[0, 0] = 1.0
 
     def test_factors_at_2048_px_are_small(self):
-        _curvature_factors.cache_clear()
-        _pixel_basis.cache_clear()
+        _level_operators.cache_clear()
         grid = make_grid(2048, 2040, 8.0)
         tracemalloc.start()
         try:
-            g, h = curvature_factors(grid, 2048, 2040)
+            by, bx, g, h = level_operators(grid, 2048, 2040)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            _curvature_factors.cache_clear()
-            _pixel_basis.cache_clear()
-        # four stacked (rows, rows) blocks and four stacked (cols, cols) blocks
+            _level_operators.cache_clear()
+        # the dense pixel bases, four stacked (rows, rows) blocks and four stacked
+        # (cols, cols) blocks
         assert (grid.rows, grid.cols) == (258, 259)
+        assert by.shape == (2040, grid.rows) and bx.shape == (2048, grid.cols)
         assert g.shape == (4 * grid.rows, grid.rows)
         assert h.shape == (4 * grid.cols, grid.cols)
         assert peak < 32 * 2**20

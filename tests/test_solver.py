@@ -1,7 +1,10 @@
 """Multi-level registration solver: convergence, determinism, ablation."""
 
 import gc
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +177,16 @@ class TestOptimizerBehaviour:
             assert trace.losses[-1] == pytest.approx(level[3], rel=1e-9, abs=0.0)
         assert float(np.abs(res.field.u).max()) == pytest.approx(max_u, rel=0.0, abs=1e-9)
 
+    def test_every_policy_mutant_is_killed(self):
+        """``tools/solver_mutants.py`` on this checkout exits 0: each mutant string
+        occurs once in the source, and the policy test above fails under each mutant.
+        (This test's name must not match ``-k fingerprint``, which the script runs.)"""
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, str(root / "tools" / "solver_mutants.py"),
+                               str(root)], capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.count("killed: ") == 4, proc.stdout
+
     def test_report_dict_has_no_wall_clock(self):
         pair = small_pair(seed=0, magnitude=1.0)
         res = register(pair.fixed_image, pair.moving_image, cfg=FAST)
@@ -217,6 +230,14 @@ class TestValidation:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             RegistrationConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["num_levels", "max_iters_per_level"])
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "3", None])
+    def test_non_integral_count_rejected(self, name, count):
+        # 2.5 made register die with a TypeError from range(); True ran as 1
+        with pytest.raises(ConfigurationError, match=name):
+            RegistrationConfig(**{name: count})
+        assert getattr(RegistrationConfig(**{name: np.int64(2)}), name) == 2
 
     def test_single_label_map_rejected(self):
         from defreg.errors import DomainError
