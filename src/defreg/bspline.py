@@ -33,6 +33,8 @@ __all__ = [
     "cubic_bspline",
     "make_grid",
     "densify",
+    "pixel_positions",
+    "grid_sample_coords",
     "splat_to_grid",
     "prolongate",
     "random_smooth_deformation",
@@ -176,15 +178,45 @@ def level_operators(grid: ControlGrid, width: int, height: int):
     return _level_operators(height, width, grid.spacing_px, grid.rows, grid.cols)
 
 
-def _expand(coeffs: np.ndarray, by: np.ndarray, bx: np.ndarray) -> np.ndarray:
-    """Tensor-product expansion by @ coeffs[..., j] @ bx.T of both components."""
-    return np.stack([by @ coeffs[..., j] @ bx.T for j in range(2)], axis=-1)
+def _expand(coeffs: np.ndarray, by: np.ndarray, bx: np.ndarray, out=None) -> np.ndarray:
+    """Tensor-product expansion by @ coeffs[..., j] @ bx.T of both components,
+    stacked on the last axis, or written into the two planes of ``out``."""
+    if out is None:
+        return np.stack([by @ coeffs[..., j] @ bx.T for j in range(2)], axis=-1)
+    for j in range(2):
+        np.matmul(by @ coeffs[..., j], bx.T, out=out[j])
+    return out
 
 
-def densify(grid: ControlGrid, width: int, height: int) -> DisplacementField:
-    """Expand the control grid into a dense per-pixel displacement field."""
+def densify(grid: ControlGrid, width: int, height: int,
+            spacing: float = 1.0) -> DisplacementField:
+    """Expand the control grid into a dense per-pixel displacement field on a
+    level whose pixels have edge length ``spacing``."""
     by, bx, _, _ = level_operators(grid, width, height)
-    return DisplacementField(_expand(grid.coeffs, by, bx))
+    return DisplacementField(_expand(grid.coeffs, by, bx), spacing)
+
+
+def pixel_positions(height: int, width: int) -> np.ndarray:
+    """``(2, height, width)`` planes holding each pixel's x and y."""
+    pos = np.empty((2, height, width))
+    pos[0] = np.arange(width, dtype=np.float64)
+    pos[1] = np.arange(height, dtype=np.float64)[:, None]
+    return pos
+
+
+def grid_sample_coords(grid: ControlGrid, positions: np.ndarray, out: np.ndarray):
+    """Sample positions x + u(x) of the grid's dense field at the pixels of
+    ``positions`` (from :func:`pixel_positions`), as :func:`sample_coords` gives
+    them, written into the two planes of ``out`` without building a
+    :class:`DisplacementField`. Adding whole planes iterates contiguous memory,
+    where broadcasting a row of positions makes numpy allocate an iterator
+    buffer on every call."""
+    _, height, width = positions.shape
+    by, bx, _, _ = level_operators(grid, width, height)
+    px, py = _expand(grid.coeffs, by, bx, out)
+    px += positions[0]
+    py += positions[1]
+    return px, py
 
 
 def splat_to_grid(grad_u: np.ndarray, grid: ControlGrid) -> np.ndarray:

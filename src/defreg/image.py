@@ -27,6 +27,7 @@ __all__ = [
     "Image2D",
     "LabelMap",
     "OneHotStack",
+    "is_real",
     "check_spacing",
     "SampleGeometry",
     "bilinear_sample_with_grad",
@@ -41,11 +42,15 @@ __all__ = [
 ]
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool, so comparing it is safe."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_spacing(value, name: str = "spacing"):
     """``value`` if it is a real number, not a bool, with 0 < value < inf;
     otherwise a ``DomainError`` naming it."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0 < value < math.inf):
+    if not (is_real(value) and 0 < value < math.inf):
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
     return value
 
@@ -174,6 +179,9 @@ class SampleGeometry:
     interpolation weights, and which coordinates lie inside the domain.
     Coordinates are clamped to the domain; a clamped coordinate gets zero
     positional derivative, so that no force is exerted through the clamp.
+
+    :meth:`empty` and :meth:`fill` let a caller keep one geometry's arrays and
+    rewrite them for each new set of coordinates.
     """
 
     _ARRAYS = ("i00", "fx", "fy", "gx", "gy", "in_x", "in_y")  # one entry per sample
@@ -182,66 +190,139 @@ class SampleGeometry:
     def __init__(self, px, py, shape):
         px = np.asarray(px, dtype=np.float64)
         py = np.asarray(py, dtype=np.float64)
-        if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        self._allocate(shape, px.shape)
+        self.fill(px, py, np.empty(px.shape, dtype=np.intp))
+
+    @classmethod
+    def empty(cls, shape, sample_shape) -> SampleGeometry:
+        """A geometry on an ``shape`` grid whose arrays, of ``sample_shape``, are
+        not yet written: the target of :meth:`fill` or of :meth:`subset`'s ``out``."""
+        g = cls.__new__(cls)
+        g._allocate(shape, sample_shape)
+        return g
+
+    def _allocate(self, shape, sample_shape):
+        self.shape = tuple(shape)
+        self.i00 = np.empty(sample_shape, dtype=np.intp)
+        self.fx, self.fy, self.gx, self.gy = (np.empty(sample_shape) for _ in range(4))
+        self.in_x, self.in_y = (np.empty(sample_shape, dtype=bool) for _ in range(2))
+
+    def fill(self, px, py, x0):
+        """Rewrite the arrays in place for samples at (px, py), float64 arrays of
+        the arrays' shape; ``x0`` is intp scratch of that shape."""
+        in_x, in_y, i00 = self.in_x, self.in_y, self.i00
+        # the masks hold the finiteness test until they are built
+        if not (np.isfinite(px, out=in_x).all() and np.isfinite(py, out=in_y).all()):
             raise DomainError("sample coordinates must be finite")
-        h, w = shape
+        h, w = self.shape
         if h < 2 or w < 2:
             raise DomainError("sampling needs at least 2 pixels per axis")
-        cx = np.minimum(np.maximum(px, 0.0), w - 1.0)
-        cy = np.minimum(np.maximum(py, 0.0), h - 1.0)
-        # clamping x0 to w-2 and y0 to h-2 keeps every corner on the grid
-        x0 = np.minimum(np.floor(cx).astype(np.intp), w - 2)
-        y0 = np.minimum(np.floor(cy).astype(np.intp), h - 2)
-        self.shape = (h, w)
-        self.fx = cx - x0
-        self.fy = cy - y0
-        self.gx = 1 - self.fx
-        self.gy = 1 - self.fy
-        self.i00 = y0 * w + x0
+        # gx and gy hold the clamped coordinates until the masks are built
+        cx = np.minimum(np.maximum(px, 0.0, out=self.gx), w - 1.0, out=self.gx)
+        cy = np.minimum(np.maximum(py, 0.0, out=self.gy), h - 1.0, out=self.gy)
+        # clamping x0 to w-2 and y0 to h-2 keeps every corner on the grid. fx and
+        # fy hold x0 and y0 as floats, which they are exactly; the integer copies
+        # are made by copyto, since a ufunc mixing int and float operands casts
+        # through a 64 KiB buffer
+        x0f = np.minimum(np.floor(cx, out=self.fx), w - 2.0, out=self.fx)
+        y0f = np.minimum(np.floor(cy, out=self.fy), h - 2.0, out=self.fy)
+        np.copyto(x0, x0f, casting="unsafe")
+        np.copyto(i00, y0f, casting="unsafe")
+        np.multiply(i00, w, out=i00)
+        i00 += x0
+        np.subtract(cx, x0f, out=self.fx)
+        np.subtract(cy, y0f, out=self.fy)
+        # the samplers read corners with take(mode="clip"), which does not raise
+        # on a bad index, so the range is checked here, once per geometry
+        if i00.size and (i00.min() < 0 or i00.max() > h * w - w - 2):
+            raise DomainError("sample cell index out of range")
         # a finite coordinate lies in the domain exactly when clamping kept it
-        self.in_x = cx == px
-        self.in_y = cy == py
+        np.equal(cx, px, out=in_x)
+        np.equal(cy, py, out=in_y)
+        np.subtract(1, self.fx, out=self.gx)
+        np.subtract(1, self.fy, out=self.gy)
 
-    def subset(self, idx) -> SampleGeometry:
-        """The geometry of the samples at flat positions ``idx``, taken from this one."""
+    def subset(self, idx, out: SampleGeometry | None = None) -> SampleGeometry:
+        """The geometry of the samples at flat positions ``idx``, taken from this one;
+        with ``out`` (from :meth:`empty`), its arrays are views of the first
+        ``len(idx)`` entries of ``out``'s."""
         sub = SampleGeometry.__new__(SampleGeometry)
         sub.shape = self.shape
         for name in SampleGeometry._ARRAYS:
-            setattr(sub, name, getattr(self, name).take(idx))
+            dst = None if out is None else getattr(out, name)[:len(idx)]
+            setattr(sub, name, getattr(self, name).take(idx, out=dst, mode="clip"))
         return sub
 
 
-def _corners(data: np.ndarray, g: SampleGeometry):
+def _corners(data: np.ndarray, g: SampleGeometry, out=None):
     """Values at the four corners of every sample, for one ``(h, w)`` channel or
-    a ``(K, h, w)`` stack; the three other corners are read from offset views."""
+    a ``(K, h, w)`` stack, written into ``out``, ``(4, *data.shape[:-2], *g.i00.shape)``
+    (allocated when None), and returned as its four planes.
+
+    The three other corners are read from offset views of each channel's flat
+    data at ``i00``. ``take`` reads a 1D view in place (a 2D slice of a stack
+    would be copied), and writes into a contiguous ``out`` in place with
+    ``mode="clip"``; ``i00`` is range-checked by the geometry, so nothing is clipped."""
     if data.shape[-2:] != g.shape:
         raise DomainError(f"sampled data {data.shape} does not match the geometry {g.shape}")
-    h, w = g.shape
-    flat = data.reshape(*data.shape[:-2], h * w)
-    i = g.i00
-    return (flat.take(i, axis=-1), flat[..., 1:].take(i, axis=-1),
-            flat[..., w:].take(i, axis=-1), flat[..., w + 1:].take(i, axis=-1))
+    offsets = (0, 1, g.shape[1], g.shape[1] + 1)
+    if out is None:
+        out = np.empty((4, *data.shape[:-2], *g.i00.shape))
+    if data.ndim == 2:
+        flat = data.reshape(-1)
+        for j, offset in enumerate(offsets):
+            flat[offset:].take(g.i00, out=out[j, ...], mode="clip")
+    else:
+        for k, channel in enumerate(data.reshape(len(data), -1)):
+            for j, offset in enumerate(offsets):
+                channel[offset:].take(g.i00, out=out[j, k, ...], mode="clip")
+    # out[j, ...] is an array even for one sample, where out[j] would be a scalar
+    return out[0, ...], out[1, ...], out[2, ...], out[3, ...]
 
 
-def bilinear_sample_with_grad(data: np.ndarray, g: SampleGeometry) -> np.ndarray:
-    """Bilinear interpolation of ``data`` at the geometry's points.
+def bilinear_sample_with_grad(data: np.ndarray, g: SampleGeometry, out=None,
+                              corners=None) -> np.ndarray:
+    """Bilinear interpolation of ``data`` at the geometry's points, written into
+    ``out`` when given. ``corners`` is the ``(4, ...)`` scratch of :func:`_corners`.
 
     Values only: the coordinate derivatives come from :func:`bilinear_slopes`.
     The name is kept because ``perfbench/run.py`` wraps it by that name."""
-    v00, v01, v10, v11 = _corners(data, g)
-    return g.gy * (g.gx * v00 + g.fx * v01) + g.fy * (g.gx * v10 + g.fx * v11)
+    v00, v01, v10, v11 = _corners(data, g, corners)
+    # gy * (gx * v00 + fx * v01) + fy * (gx * v10 + fx * v11), in the corners' arrays
+    np.multiply(g.gx, v00, out=v00)
+    v00 += np.multiply(g.fx, v01, out=v01)
+    np.multiply(g.gx, v10, out=v10)
+    v10 += np.multiply(g.fx, v11, out=v11)
+    np.multiply(g.gy, v00, out=v00)
+    np.multiply(g.fy, v10, out=v10)
+    return np.add(v00, v10, out=out)
 
 
-def bilinear_slopes(data: np.ndarray, g: SampleGeometry):
+def bilinear_slopes(data: np.ndarray, g: SampleGeometry, out=None, corners=None):
     """Derivatives of the bilinear interpolant w.r.t. the sample coordinates, as (ddx, ddy),
-    for one channel or, with a leading axis, for each channel of a stack.
+    for one channel or, with a leading axis, for each channel of a stack; written
+    into ``out[0]`` and ``out[1]`` when given, with ``corners`` as in
+    :func:`bilinear_sample_with_grad`.
 
     A clamped coordinate no longer moves the sample, so its derivative is
     zero; the other axis keeps its usual interpolant derivative."""
-    v00, v01, v10, v11 = _corners(data, g)
-    ddx = g.gy * (v01 - v00) + g.fy * (v11 - v10)
-    ddy = g.gx * (v10 - v00) + g.fx * (v11 - v01)
-    return ddx * g.in_x, ddy * g.in_y
+    v00, v01, v10, v11 = _corners(data, g, corners)
+    if out is None:
+        out = np.empty((2, *v00.shape))
+    ddx, ddy = out[0, ...], out[1, ...]
+    # ddx = gy * (v01 - v00) + fy * (v11 - v10), ddy = gx * (v10 - v00) + fx * (v11 - v01);
+    # v00 and v10 hold the second terms once their first uses are done
+    np.multiply(g.gy, np.subtract(v01, v00, out=ddx), out=ddx)
+    np.multiply(g.gx, np.subtract(v10, v00, out=ddy), out=ddy)
+    ddx += np.multiply(g.fy, np.subtract(v11, v10, out=v00), out=v00)
+    ddy += np.multiply(g.fx, np.subtract(v11, v01, out=v10), out=v10)
+    # times the masks as 1.0/0.0, as float * bool casts them; v01 and v11 are free
+    # now, and copyto casts without the ufunc's buffer
+    np.copyto(v01, g.in_x)
+    ddx *= v01
+    np.copyto(v11, g.in_y)
+    ddy *= v11
+    return ddx, ddy
 
 
 def nearest_sample(labels: np.ndarray, px, py) -> np.ndarray:
@@ -262,41 +343,74 @@ def nearest_sample(labels: np.ndarray, px, py) -> np.ndarray:
 # finite differences
 
 
-def _diff(f: np.ndarray, h: float) -> np.ndarray:
-    """Central differences along axis 0, one-sided at its ends. The x-derivative
-    runs it on ``.T`` views: each element gets the same IEEE operations in the same
-    order, at less cost per call than ``np.moveaxis`` (which shows at 16 px)."""
-    g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    g[0] = (f[1] - f[0]) / h
-    g[-1] = (f[-1] - f[-2]) / h
-    return g
+# Both stencils run their interior as one pass over the flat C-contiguous arrays,
+# stepping by the axis's stride: numpy iterates contiguous memory with no buffer,
+# where an operation on column slices allocates up to three 64 KiB iterator
+# buffers. Every entry gets the same IEEE operations, in the same order, as the
+# stencil written per axis on slices. The ends of each line are rows 0 and -1 of
+# the array along y and of its transpose along x.
 
 
-def _add_diff_adjoint(g: np.ndarray, q: np.ndarray, h: float):
-    """``g += D' q`` in place, where D is :func:`_diff` and ' the transpose."""
-    mid, first, last = q[1:-1] / (2.0 * h), q[0] / h, q[-1] / h
-    g[2:] += mid
-    g[:-2] -= mid
-    g[0] -= first
-    g[1] += first
-    g[-1] += last
-    g[-2] -= last
+def _diff(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """Central differences along ``axis`` of a C-contiguous ``(h, w)`` array, one-sided
+    at both ends of each line, written into ``out``. Along x the flat pass also
+    writes the row ends, differencing across rows; the one-sided ends overwrite them."""
+    step = f.shape[1] if axis == 0 else 1
+    interior = out.reshape(-1)[step:-step]
+    flat = f.reshape(-1)
+    np.subtract(flat[2 * step:], flat[:-2 * step], out=interior)
+    interior /= 2.0 * h
+    fe, ge = (f, out) if axis == 0 else (f.T, out.T)
+    np.subtract(fe[1], fe[0], out=ge[0])
+    ge[0] /= h
+    np.subtract(fe[-1], fe[-2], out=ge[-1])
+    ge[-1] /= h
+    return out
 
 
-def central_gradient_raw(data: np.ndarray, spacing: float):
-    """Central differences in the interior, one-sided on the boundary; returns (gx, gy)."""
+def _add_diff_adjoint(g: np.ndarray, q: np.ndarray, h: float, axis: int):
+    """``g += D' q`` in place, where D is :func:`_diff` along ``axis`` and ' the
+    transpose; ``q`` is overwritten. Each line's end entries of ``q`` are kept aside
+    and zeroed first, so along x the flat pass adds exact zeros across the row ends:
+    ``g`` starts at +0.0 and is only summed into, so it is never -0.0, and
+    ``g + 0.0`` is ``g``."""
+    step = g.shape[1] if axis == 0 else 1
+    qe, ge = (q, g) if axis == 0 else (q.T, g.T)
+    first, last = qe[0] / h, qe[-1] / h
+    qe[0] = 0.0
+    qe[-1] = 0.0
+    mid = q.reshape(-1)[step:-step]
+    mid /= 2.0 * h
+    flat = g.reshape(-1)
+    flat[2 * step:] += mid
+    flat[:-2 * step] -= mid
+    ge[0] -= first
+    ge[1] += first
+    ge[-1] += last
+    ge[-2] -= last
+
+
+def central_gradient_raw(data: np.ndarray, spacing: float, out=None):
+    """Central differences in the interior, one-sided on the boundary; returns (gx, gy),
+    written into the pair ``out`` of C-contiguous arrays when given."""
     if data.shape[0] < 3 or data.shape[1] < 3:
         raise DomainError("gradient needs at least 3 pixels per axis")
-    return _diff(data.T, spacing).T, _diff(data, spacing)
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    gx, gy = np.empty((2, *data.shape)) if out is None else out
+    return _diff(data, spacing, 1, gx), _diff(data, spacing, 0, gy)
 
 
-def gradient_adjoint(qx: np.ndarray, qy: np.ndarray, spacing: float) -> np.ndarray:
-    """Transpose of :func:`central_gradient_raw` applied to a cotangent pair."""
-    g = np.zeros_like(qx)
-    _add_diff_adjoint(g.T, qx.T, spacing)
-    _add_diff_adjoint(g, qy, spacing)
-    return g
+def gradient_adjoint(qx: np.ndarray, qy: np.ndarray, spacing: float, out=None) -> np.ndarray:
+    """Transpose of :func:`central_gradient_raw` applied to a cotangent pair. With
+    ``out``, the result is written there and ``qx``, ``qy`` (C-contiguous, like
+    ``out``) are overwritten; without, they are left as they are."""
+    if out is None:
+        qx, qy = (np.array(q, dtype=np.float64, order="C") for q in (qx, qy))
+        out = np.empty(qx.shape)
+    out.fill(0.0)
+    _add_diff_adjoint(out, qx, spacing, 1)
+    _add_diff_adjoint(out, qy, spacing, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

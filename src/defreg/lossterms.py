@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import ControlGrid, densify, level_operators, sample_coords, splat_to_grid
+from .bspline import (ControlGrid, grid_sample_coords, level_operators, pixel_positions,
+                      splat_to_grid)
+from .bspline import densify  # noqa: F401  (not called; perfbench/run.py wraps this name)
 from .errors import ConfigurationError, DomainError
 from .image import (
     Image2D,
@@ -34,9 +36,11 @@ from .image import (
     bilinear_slopes,
     central_gradient_raw,
     gradient_adjoint,
+    is_real,
 )
 
-__all__ = ["LossWeights", "LossReport", "curvature", "boundary_ssd", "total_loss"]
+__all__ = ["LossWeights", "LossReport", "LevelBuffers", "curvature", "boundary_ssd",
+           "total_loss"]
 
 
 @dataclass
@@ -47,6 +51,10 @@ class LossWeights:
     epsilon: float = 0.1
 
     def __post_init__(self):
+        for name in ("delta", "alpha", "beta", "epsilon"):
+            if not is_real(getattr(self, name)):
+                raise ConfigurationError(
+                    f"loss weight {name} must be a real number, got {getattr(self, name)!r}")
         if not all(0 <= v < np.inf for v in (self.delta, self.alpha, self.beta)):
             raise ConfigurationError("loss weights must be non-negative and finite")
         if not 0 < self.epsilon < np.inf:
@@ -75,14 +83,78 @@ class LossReport:
         return self.grad_total
 
 
-def _ngf_terms(gfx, gfy, gmx, gmy, epsilon: float):
+_NGF_PLANES = 9  # gfx, gfy, gmx, gmy, the integrand, a, b, c and one scratch plane
+
+
+class LevelBuffers:
+    """Every image-sized array one :func:`total_loss` evaluation writes, and the
+    pixel positions it reads, for a level of ``shape`` (h, w) with ``channels``
+    one-hot channels (0 without labels).
+
+    The solver builds one set per pyramid level and passes it to each
+    evaluation, so an evaluation allocates no image-sized array. A report's
+    pullback reads the arrays of its own evaluation: it is valid until the next
+    evaluation through the same buffers, which ``generation`` counts, and raises
+    after it. The band geometry holds up to every pixel; an evaluation uses a prefix.
+    """
+
+    def __init__(self, shape, channels: int = 0):
+        h, w = shape
+        n = h * w
+        self.shape = (h, w)
+        self.channels = channels
+        self.generation = 0
+        self.positions = pixel_positions(h, w)
+        # the displacement, then the sample positions; once the geometry is
+        # filled, scratch for the band table's read and the image's slopes
+        self.coords = np.empty((2, h, w))
+        self.geom = SampleGeometry.empty(self.shape, self.shape)
+        self.index = np.empty(n, dtype=np.intp)  # the geometry's scratch, then the table index
+        # the corners of the image (the first plane then holding the warped
+        # image), or of one channel's band samples
+        self.corners = np.empty((4, n))
+        self.ngf = np.empty((_NGF_PLANES, h, w))
+        self.force = np.empty((h, w, 2))  # the per-pixel cotangent of the displacement
+        if channels:
+            self.cells = np.empty(n, dtype=np.intp)
+            self.in_band = np.empty(n, dtype=bool)
+            self.pixels = np.arange(n)
+            self.band_geom = SampleGeometry.empty(self.shape, n)
+            self._band = np.empty((8, 0))
+
+    def band_planes(self, size: int) -> np.ndarray:
+        """``(8, size)`` views for the K channels' band samples: the warped and
+        fixed samples, the two slopes and the four corners. The band is a few
+        percent of a fine level, so the planes are sized by the band, and
+        reallocated at twice the size when it outgrows them."""
+        if self._band.shape[1] < size:
+            self._band = np.empty((8, 2 * size))
+        return self._band[:, :size]
+
+
+def _ngf_terms(gfx, gfy, gmx, gmy, epsilon: float, out=None):
     """The pointwise NGF integrand and the three sums it is built from:
-    a = <gM,gF> + eps^2, b = |gM|^2 + eps^2, c = |gF|^2 + eps^2."""
+    a = <gM,gF> + eps^2, b = |gM|^2 + eps^2, c = |gF|^2 + eps^2; written into
+    ``out[0..3]``, with ``out[4]`` as scratch (allocated when None)."""
+    if out is None:
+        out = np.empty((5, *np.broadcast(gfx, gfy, gmx, gmy).shape))
+    # out[i, ...] is an array even for scalar inputs, where out[i] is a scalar
+    integrand, a, b, c, t = (out[i, ...] for i in range(5))
     e2 = epsilon * epsilon
-    a = gmx * gfx + gmy * gfy + e2
-    b = gmx * gmx + gmy * gmy + e2
-    c = gfx * gfx + gfy * gfy + e2
-    return 1.0 - (a * a) / (b * c), a, b, c
+    np.multiply(gmx, gfx, out=a)
+    a += np.multiply(gmy, gfy, out=t)
+    a += e2
+    np.multiply(gmx, gmx, out=b)
+    b += np.multiply(gmy, gmy, out=t)
+    b += e2
+    np.multiply(gfx, gfx, out=c)
+    c += np.multiply(gfy, gfy, out=t)
+    c += e2
+    # 1 - (a * a) / (b * c)
+    np.multiply(a, a, out=integrand)
+    integrand /= np.multiply(b, c, out=t)
+    np.subtract(1.0, integrand, out=integrand)
+    return integrand, a, b, c
 
 
 def ngf_integrand(gfx, gfy, gmx, gmy, epsilon: float):
@@ -90,20 +162,34 @@ def ngf_integrand(gfx, gfy, gmx, gmy, epsilon: float):
     return _ngf_terms(gfx, gfy, gmx, gmy, epsilon)[0]
 
 
-def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float):
+def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float, work=None):
     """NGF value and its pullback: a closure over the image gradients and the
-    three sums that returns the gradient w.r.t. the warped intensity values."""
-    gfx, gfy = central_gradient_raw(fixed_data, spacing)
-    gmx, gmy = central_gradient_raw(warped_data, spacing)
-    integrand, a, b, c = _ngf_terms(gfx, gfy, gmx, gmy, epsilon)
+    three sums that returns the gradient w.r.t. the warped intensity values.
+
+    Everything is written into ``work``, ``(9, h, w)`` planes (allocated when
+    None). The pullback builds its result in place over them, so it runs once."""
+    if work is None:
+        work = np.empty((_NGF_PLANES, *fixed_data.shape))
+    gfx, gfy = central_gradient_raw(fixed_data, spacing, out=work[0:2])
+    gmx, gmy = central_gradient_raw(warped_data, spacing, out=work[2:4])
+    integrand, a, b, c = _ngf_terms(gfx, gfy, gmx, gmy, epsilon, out=work[4:9])
     sp2 = spacing * spacing
     value = 0.5 * sp2 * np.sum(integrand)
 
     def pullback() -> np.ndarray:
-        # d(value)/d gM_j = sp2 * (a^2 gM_j / b^2 - a gF_j / b) / c
-        qx = sp2 * (a * a * gmx / (b * b) - a * gfx / b) / c
-        qy = sp2 * (a * a * gmy / (b * b) - a * gfy / b) / c
-        return gradient_adjoint(qx, qy, spacing)
+        # d(value)/d gM_j = sp2 * (a^2 gM_j / b^2 - a gF_j / b) / c; gM_j becomes
+        # that cotangent q_j and gF_j its second term
+        aa = np.multiply(a, a, out=integrand)
+        bb = np.multiply(b, b, out=work[8])
+        for gm, gf in ((gmx, gfx), (gmy, gfy)):
+            q = np.multiply(aa, gm, out=gm)
+            q /= bb
+            second = np.multiply(a, gf, out=gf)
+            second /= b
+            q -= second
+            q *= sp2
+            q /= c
+        return gradient_adjoint(gmx, gmy, spacing, out=integrand)
 
     return float(value), pullback
 
@@ -124,11 +210,14 @@ def curvature(grid: ControlGrid, width: int, height: int, spacing: float):
     return 0.5 * float(np.sum(grid.coeffs * grad)), grad
 
 
-def _ssd_core(fixed_channels, warped_channels, spacing: float):
-    """Boundary SSD value and the difference ``warped - fixed`` its gradient is built from."""
+def _ssd_core(fixed_channels, warped_channels, spacing: float, out=None):
+    """Boundary SSD value and the difference ``warped - fixed`` its gradient is built
+    from; with ``out``, a pair of arrays (which may be the inputs), the difference
+    is written into the first and its square into the second."""
     sp2 = spacing * spacing
-    diff = warped_channels - fixed_channels
-    value = 0.5 * sp2 * np.sum(diff * diff)
+    diff, square = (None, None) if out is None else out
+    diff = np.subtract(warped_channels, fixed_channels, out=diff)
+    value = 0.5 * sp2 * np.sum(np.multiply(diff, diff, out=square))
     return float(value), diff
 
 
@@ -142,7 +231,8 @@ def boundary_ssd(fixed_oh: OneHotStack, warped_oh: OneHotStack):
 
 def total_loss(fixed: Image2D, moving: Image2D,
                fixed_oh: OneHotStack | None, moving_oh: OneHotStack | None,
-               grid: ControlGrid, w: LossWeights, with_grad: bool = True) -> LossReport:
+               grid: ControlGrid, w: LossWeights, with_grad: bool = True,
+               work: LevelBuffers | None = None) -> LossReport:
     """Evaluate the combined loss for a control grid and back-propagate to coefficients.
 
     This is the forward pass: the three values (B's from the kernel that
@@ -150,6 +240,11 @@ def total_loss(fixed: Image2D, moving: Image2D,
     more. The report keeps the pullback, a closure over the forward pass's
     arrays that ``report.backward()`` runs to build the other gradients;
     ``with_grad`` runs it at once.
+
+    Every image-sized array is written into ``work``, a :class:`LevelBuffers`
+    for this level; without one, the call makes its own. A report made through
+    shared buffers must run its backward pass before the next evaluation
+    through them.
 
     B is exact but narrow-band: one integer gather of ``moving_oh.cell_labels``
     at the samples' cells finds the pixels whose sample is a one-hot vector
@@ -169,53 +264,85 @@ def total_loss(fixed: Image2D, moving: Image2D,
         raise DomainError("total_loss: one-hot channel mismatch")
     if use_boundary and moving_oh.channels.shape[1:] != moving.data.shape:
         raise DomainError("total_loss: one-hot stacks and images differ in shape")
+    k = moving_oh.channels.shape[0] if use_boundary else 0
+    if work is None:
+        work = LevelBuffers(fixed.data.shape, k)
+    elif work.shape != fixed.data.shape or (use_boundary and work.channels != k):
+        raise DomainError(f"total_loss: buffers for {work.shape} with {work.channels} "
+                          f"channels do not fit a {fixed.data.shape} level with {k}")
+    work.generation += 1
+    generation = work.generation
 
-    geom = SampleGeometry(*sample_coords(densify(grid, fixed.width, fixed.height)),
-                          moving.data.shape)
+    geom = work.geom
+    geom.fill(*grid_sample_coords(grid, work.positions, out=work.coords),
+              work.index.reshape(geom.shape))
 
     b_value = 0.0
-    band = band_geom = b_diff = None
+    band = band_geom = b_diff = planes = None
     if use_boundary:
-        cells = moving_oh.cell_labels.take(geom.i00).reshape(-1)
-        n = cells.size
-        # row -1 of the table is zero, so band pixels add nothing here
-        uniform = float(np.sum(fixed_oh.label_sq_distances.take(cells * n + np.arange(n))))
-        band = np.flatnonzero(cells < 0)
-        band_geom = geom.subset(band)
+        n = geom.i00.size
+        cells = moving_oh.cell_labels.take(geom.i00.reshape(-1), out=work.cells, mode="clip")
+        index = np.multiply(cells, n, out=work.index)
+        index += work.pixels
+        # row -1 of the table is zero, so band pixels add nothing here; "wrap"
+        # reads index -n + p as row -1, as the default mode would, without a
+        # copy. The sample positions are spent, so their plane takes the read.
+        uniform = float(np.sum(fixed_oh.label_sq_distances.take(
+            index, out=work.coords[0].reshape(-1), mode="wrap")))
+        band = np.flatnonzero(np.less(cells, 0, out=work.in_band))
+        band_geom = geom.subset(band, out=work.band_geom)
+        nb = band.size
+        planes = work.band_planes(k * nb)
+        warped_band, fixed_band = planes[0].reshape(k, nb), planes[1].reshape(k, nb)
         # one sampler call per channel, not one on the stack: perfbench counts
         # calls, and its smoke test pins 5 per loss evaluation
-        warped_band = np.stack([bilinear_sample_with_grad(ch, band_geom)
-                                for ch in moving_oh.channels])
-        fixed_band = fixed_oh.channels.reshape(-1, n).take(band, axis=1)
-        b_value, b_diff = _ssd_core(fixed_band, warped_band, fixed.spacing)
+        for ch, row in zip(moving_oh.channels, warped_band):
+            bilinear_sample_with_grad(ch, band_geom, out=row, corners=work.corners[:, :nb])
+        fixed_oh.channels.reshape(k, n).take(band, axis=1, out=fixed_band, mode="clip")
+        # the difference overwrites the warped samples and its square the fixed ones
+        b_value, b_diff = _ssd_core(fixed_band, warped_band, fixed.spacing,
+                                    out=(warped_band, fixed_band))
         b_value += 0.5 * fixed.spacing * fixed.spacing * uniform
 
     d_value = 0.0
     ngf_pullback = None
+    image_corners = work.corners.reshape(4, *geom.shape)
     if w.delta != 0.0:
-        warped = bilinear_sample_with_grad(moving.data, geom)
-        d_value, ngf_pullback = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon)
+        warped = bilinear_sample_with_grad(moving.data, geom, out=image_corners[0],
+                                           corners=image_corners)
+        d_value, ngf_pullback = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon,
+                                          work=work.ngf)
 
     r_value, grad_r = curvature(grid, fixed.width, fixed.height, fixed.spacing)
 
     def pullback():
+        if work.generation != generation:
+            raise RuntimeError("stale pullback: a later total_loss evaluation has "
+                               "overwritten the buffers this report reads")
         # an absent term's gradient is zero; only present terms are splatted
         grad_d = np.zeros_like(grid.coeffs)
         grad_b = np.zeros_like(grid.coeffs)
+        force = work.force
         if ngf_pullback is not None:
             d_grad_warped = ngf_pullback()
-            dmx, dmy = bilinear_slopes(moving.data, geom)
-            du_d = np.stack([d_grad_warped * dmx, d_grad_warped * dmy], axis=-1)
-            grad_d = splat_to_grid(du_d, grid)
+            dmx, dmy = bilinear_slopes(moving.data, geom, out=work.coords,
+                                       corners=image_corners)
+            np.multiply(d_grad_warped, dmx, out=force[..., 0])
+            np.multiply(d_grad_warped, dmy, out=force[..., 1])
+            grad_d = splat_to_grid(force, grid)
         if b_diff is not None:
             b_grad = b_diff  # the pullback runs once: scale the difference in place
             b_grad *= fixed.spacing * fixed.spacing
             # the slopes are exactly zero off the band, so only band pixels get a force
-            dkx, dky = bilinear_slopes(moving_oh.channels, band_geom)
-            du_b = np.zeros((geom.i00.size, 2))
-            du_b[band, 0] = np.sum(b_grad * dkx, axis=0)
-            du_b[band, 1] = np.sum(b_grad * dky, axis=0)
-            grad_b = splat_to_grid(du_b.reshape(*geom.shape, 2), grid)
+            dkx, dky = bilinear_slopes(moving_oh.channels, band_geom,
+                                       out=planes[2:4].reshape(2, k, band.size),
+                                       corners=planes[4:8].reshape(4, k, band.size))
+            force.fill(0.0)
+            pixel_force = force.reshape(-1, 2)
+            for j, slope in enumerate((dkx, dky)):
+                slope *= b_grad
+                pixel_force[band, j] = np.sum(slope, axis=0)
+            grad_b = splat_to_grid(force, grid)
         return grad_d, grad_b, w.delta * grad_d + w.alpha * grad_r + w.beta * grad_b
 
     total = w.delta * d_value + w.alpha * r_value + w.beta * b_value

@@ -24,8 +24,8 @@ from .bspline import (
     prolongate,
 )
 from .errors import ConfigurationError, DomainError, NumericalError
-from .image import Image2D, LabelMap, OneHotStack, block_mean, downsample, to_one_hot
-from .lossterms import LossWeights, total_loss
+from .image import Image2D, LabelMap, OneHotStack, block_mean, downsample, is_real, to_one_hot
+from .lossterms import LevelBuffers, LossWeights, total_loss
 
 __all__ = ["RegistrationConfig", "LevelTrace", "RegistrationResult", "register", "ablate"]
 
@@ -49,9 +49,10 @@ class RegistrationConfig:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {count!r}")
         # a lattice finer than the pixels has more nodes than pixels, and its
         # grid and Gram matrices grow as 1/spacing^2
-        if not 1 <= self.finest_control_spacing_px < np.inf:
-            raise ConfigurationError("control spacing must be finite and at least 1 pixel, "
-                                     f"got {self.finest_control_spacing_px!r}")
+        spacing = self.finest_control_spacing_px
+        if not (is_real(spacing) and 1 <= spacing < np.inf):
+            raise ConfigurationError("control spacing must be a finite real number of at "
+                                     f"least 1 pixel, got {spacing!r}")
 
 
 @dataclass
@@ -66,10 +67,17 @@ class LevelTrace:
 @dataclass
 class RegistrationResult:
     grid: ControlGrid
-    field: DisplacementField
     level_traces: list
     duration_s: float
     config: RegistrationConfig
+    width: int  # of the finest level, where ``field`` is densified
+    height: int
+    spacing: float = 1.0
+
+    @property
+    def field(self) -> DisplacementField:
+        """Densified from ``grid`` on each access, so a kept result holds no dense field."""
+        return densify(self.grid, self.width, self.height, self.spacing)
 
     @property
     def quality(self) -> DeformationQuality:
@@ -116,10 +124,13 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
     """Armijo-backtracking gradient descent on the coefficients of one level."""
     w = cfg.weights
     coeffs = grid.coeffs.copy()
+    # every evaluation of this level writes into these; a report's backward pass
+    # runs before the next evaluation
+    work = LevelBuffers(fixed.data.shape, 0 if moving_oh is None else len(moving_oh.channels))
 
     def forward(c):
         return total_loss(fixed, moving, fixed_oh, moving_oh,
-                          ControlGrid(grid.spacing_px, c), w, with_grad=False)
+                          ControlGrid(grid.spacing_px, c), w, with_grad=False, work=work)
 
     def check(value, what, iteration):
         """``value`` if it is finite, else a ``NumericalError`` naming this level and iteration."""
@@ -147,7 +158,6 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
         t = step
         for _ in range(MAX_BACKTRACKS + 1):
             trial = coeffs - t * g
-            rep = None  # free the rejected trial's pullback before the next forward pass
             rep = forward(trial)
             ft = check(rep.total, "non-finite loss during line search", it)
             if ft <= f0 - ARMIJO_CONSTANT * t * gg:
@@ -226,11 +236,9 @@ def register(fixed: Image2D, moving: Image2D,
         traces.append(LevelTrace(level=level, width=f_l.width, height=f_l.height,
                                  losses=losses, termination=termination))
 
-    fld = densify(grid, fixed.width, fixed.height)
-    fld.spacing = fixed.spacing
     duration = time.perf_counter() - start
-    return RegistrationResult(grid=grid, field=fld, level_traces=traces,
-                              duration_s=duration, config=cfg)
+    return RegistrationResult(grid=grid, level_traces=traces, duration_s=duration, config=cfg,
+                              width=fixed.width, height=fixed.height, spacing=fixed.spacing)
 
 
 def ablate(dataset, cfg: RegistrationConfig, parameter: str, factors):

@@ -147,6 +147,29 @@ class TestGeometry:
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
 
+    def test_fill_rewrites_the_arrays_in_place(self):
+        geom = SampleGeometry.empty((self.H, self.W), self.px.shape)
+        arrays = [getattr(geom, name) for name in SampleGeometry._ARRAYS]
+        rng = np.random.default_rng(13)
+        scratch = np.empty(self.px.shape, dtype=np.intp)
+        for px, py in ((rng.normal(scale=9.0, size=self.px.shape),) * 2, (self.px, self.py)):
+            geom.fill(px, py, scratch)
+        for name, array in zip(SampleGeometry._ARRAYS, arrays):
+            assert getattr(geom, name) is array, name
+            assert array.tobytes() == getattr(self.geom, name).tobytes(), name
+        with pytest.raises(DomainError, match="finite"):
+            geom.fill(np.full(self.px.shape, np.inf), self.py, scratch)
+
+    def test_subset_into_buffers_equals_subset(self):
+        out = SampleGeometry.empty((self.H, self.W), self.px.size)
+        for idx in (np.array([0, 4, 5, 13, 20, 34]), np.arange(self.px.size), np.array([], int)):
+            sub, ref = self.geom.subset(idx, out=out), self.geom.subset(idx)
+            for name in SampleGeometry._ARRAYS:
+                got = getattr(sub, name)
+                assert np.shares_memory(got, getattr(out, name)) or not idx.size, name
+                assert got.dtype == getattr(ref, name).dtype, name
+                np.testing.assert_array_equal(got, getattr(ref, name), err_msg=name)
+
     def test_stacked_slopes_equal_per_channel_calls(self):
         for geom in (self.geom, self.geom.subset(np.arange(0, 35, 3))):
             ddx, ddy = bilinear_slopes(self.stack, geom)
@@ -198,7 +221,48 @@ class TestNearestSample:
                                       expected.reshape(-1, 1))
 
 
+def stencil_per_axis(f, h):
+    """Central differences along axis 0, one-sided at its ends, written per slice."""
+    g = np.empty_like(f)
+    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    g[0] = (f[1] - f[0]) / h
+    g[-1] = (f[-1] - f[-2]) / h
+    return g
+
+
+def stencil_adjoint_per_axis(g, q, h):
+    """``g += D' q`` for :func:`stencil_per_axis` along axis 0, written per slice."""
+    mid, first, last = q[1:-1] / (2.0 * h), q[0] / h, q[-1] / h
+    g[2:] += mid
+    g[:-2] -= mid
+    g[0] -= first
+    g[1] += first
+    g[-1] += last
+    g[-2] -= last
+
+
 class TestCentralGradient:
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 7), (9, 4)])
+    def test_flat_pass_equals_stencil_per_axis_bit_for_bit(self, shape):
+        """The operators run as flat passes; every entry equals the per-axis
+        stencil and its transpose, written slice by slice, in its last bit."""
+        rng = np.random.default_rng(sum(shape))
+        # entries that differ by orders of magnitude make any reordering show
+        f, qx, qy = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+                     for _ in range(3))
+        gx, gy = central_gradient_raw(f, 0.7)
+        assert gx.tobytes() == stencil_per_axis(f.T, 0.7).T.copy().tobytes()
+        assert gy.tobytes() == stencil_per_axis(f, 0.7).tobytes()
+        want = np.zeros(shape)
+        stencil_adjoint_per_axis(want.T, qx.T, 0.7)
+        stencil_adjoint_per_axis(want, qy, 0.7)
+        kept = qx.copy(), qy.copy()
+        assert gradient_adjoint(qx, qy, 0.7).tobytes() == want.tobytes()
+        assert qx.tobytes() == kept[0].tobytes() and qy.tobytes() == kept[1].tobytes()
+        out = np.full(shape, np.nan)
+        assert gradient_adjoint(qx, qy, 0.7, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
     def test_constant_zero(self):
         gx, gy = central_gradient_raw(np.full((5, 5), 3.0), 1.0)
         assert np.all(gx == 0) and np.all(gy == 0)

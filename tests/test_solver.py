@@ -21,6 +21,7 @@ from defreg import (
     register,
 )
 from defreg import image, solver
+from defreg.bspline import deformation_quality, densify
 from defreg.image import Image2D, LabelMap
 
 
@@ -194,6 +195,42 @@ class TestOptimizerBehaviour:
         assert "duration" not in str(sorted(report.keys()))
         assert res.duration_s > 0.0  # still measured, just not in the report
 
+    def test_field_is_densified_on_access(self):
+        """The result keeps the grid, not the dense field: ``field`` is densified
+        from it on each access, at the image's size and spacing."""
+        pair = small_pair(seed=0, magnitude=1.0)
+        fixed = Image2D(pair.fixed_image.data, spacing=2.0)
+        moving = Image2D(pair.moving_image.data, spacing=2.0)
+        res = register(fixed, moving, cfg=replace(FAST, max_iters_per_level=5))
+        expected = densify(res.grid, fixed.width, fixed.height)
+        first, second = res.field, res.field
+        assert np.array_equal(first.u, expected.u)
+        assert np.array_equal(first.u, second.u) and first.u is not second.u
+        assert first.spacing == second.spacing == 2.0
+        assert res.quality.folding_fraction == deformation_quality(first).folding_fraction
+        for name, value in vars(res).items():
+            assert not (isinstance(value, np.ndarray) and value.size > res.grid.coeffs.size), name
+
+    def test_one_buffer_set_per_level(self, monkeypatch):
+        """Every evaluation of a level writes into that level's one LevelBuffers."""
+        seen = []
+        original = solver.total_loss
+
+        def recording_total_loss(*args, **kwargs):
+            seen.append((args[0].width, kwargs["work"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "total_loss", recording_total_loss)
+        pair = small_pair(seed=2, magnitude=2.0)
+        register(pair.fixed_image, pair.moving_image, pair.fixed_labels, pair.moving_labels,
+                 replace(FAST, max_iters_per_level=5))
+        by_width = {}
+        for width, work in seen:
+            by_width.setdefault(width, set()).add(id(work))
+            assert work.shape == (width, width) and work.channels == 4
+        assert sorted(by_width) == [16, 32, 64]
+        assert all(len(ids) == 1 for ids in by_width.values())
+
     def test_beta_ignored_without_labels(self):
         pair = small_pair(seed=6, magnitude=2.0)
         a = register(pair.fixed_image, pair.moving_image, cfg=FAST)
@@ -230,6 +267,18 @@ class TestValidation:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             RegistrationConfig(**kwargs)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: RegistrationConfig(finest_control_spacing_px=v),
+        lambda v: LossWeights(delta=v), lambda v: LossWeights(alpha=v),
+        lambda v: LossWeights(beta=v), lambda v: LossWeights(epsilon=v),
+    ], ids=["control_spacing", "delta", "alpha", "beta", "epsilon"])
+    @pytest.mark.parametrize("value", ["8", True, None, 1j])
+    def test_non_real_setting_rejected(self, make, value):
+        # "8" raised a bare TypeError from the range test, and True constructed
+        with pytest.raises(ConfigurationError, match="real number"):
+            make(value)
+        make(np.float64(8.0))  # a numpy real is a real number
 
     @pytest.mark.parametrize("name", ["num_levels", "max_iters_per_level"])
     @pytest.mark.parametrize("count", [2.5, 2.0, True, "3", None])
