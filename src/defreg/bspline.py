@@ -282,7 +282,8 @@ def sample_coords(field: DisplacementField):
 
 def warp_image(m: Image2D, field: DisplacementField) -> Image2D:
     """Resample the moving image at x + u(x) with bilinear interpolation."""
-    geom = SampleGeometry(*sample_coords(field), m.data.shape)
+    px, py = sample_coords(field)
+    geom = SampleGeometry(m.data.shape, px.shape).fill(px, py)
     return Image2D(bilinear_sample_with_grad(m.data, geom), spacing=m.spacing)
 
 

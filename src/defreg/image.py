@@ -89,15 +89,20 @@ class LabelMap:
     num_classes: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
-        if self.labels.ndim != 2:
-            raise DomainError(f"label data must be 2D, got shape {self.labels.shape}")
-        if self.labels.min(initial=0) < 0:
+        k = self.num_classes
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise DomainError(f"num_classes must be an integer >= 1, got {k!r}")
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2:
+            raise DomainError(f"label data must be 2D, got shape {labels.shape}")
+        # checked before the cast to int32, which would truncate 1.7 to 1
+        if labels.dtype.kind == "f" and not np.array_equal(labels, np.trunc(labels)):
+            raise DomainError("labels must be integers")
+        if labels.min(initial=0) < 0:
             raise DomainError("labels must be non-negative")
-        if self.labels.size and self.labels.max() >= self.num_classes:
-            raise DomainError(
-                f"label {self.labels.max()} out of range for num_classes={self.num_classes}"
-            )
+        if labels.size and labels.max() >= k:
+            raise DomainError(f"label {labels.max()} out of range for num_classes={k}")
+        self.labels = np.asarray(labels, dtype=np.int32)
 
     @property
     def width(self) -> int:
@@ -173,44 +178,32 @@ def _label_sq_distances(channels: np.ndarray) -> np.ndarray:
 class SampleGeometry:
     """Where bilinear samples at (px, py) fall on an ``(h, w)`` pixel grid.
 
-    Built once per set of coordinates and shared by every channel sampled
+    Filled once per set of coordinates and shared by every channel sampled
     there: the flat index ``i00`` of the top-left of the four surrounding
     pixels (the others are ``i00 + 1``, ``i00 + w`` and ``i00 + w + 1``), the
     interpolation weights, and which coordinates lie inside the domain.
     Coordinates are clamped to the domain; a clamped coordinate gets zero
     positional derivative, so that no force is exerted through the clamp.
 
-    :meth:`empty` and :meth:`fill` let a caller keep one geometry's arrays and
-    rewrite them for each new set of coordinates.
+    A geometry is made for one number of samples and rewritten in place by
+    :meth:`fill` for each new set of coordinates.
     """
 
     _ARRAYS = ("i00", "fx", "fy", "gx", "gy", "in_x", "in_y")  # one entry per sample
-    __slots__ = ("shape", *_ARRAYS)
+    __slots__ = ("shape", "_x0", *_ARRAYS)
 
-    def __init__(self, px, py, shape):
-        px = np.asarray(px, dtype=np.float64)
-        py = np.asarray(py, dtype=np.float64)
-        self._allocate(shape, px.shape)
-        self.fill(px, py, np.empty(px.shape, dtype=np.intp))
-
-    @classmethod
-    def empty(cls, shape, sample_shape) -> SampleGeometry:
-        """A geometry on an ``shape`` grid whose arrays, of ``sample_shape``, are
-        not yet written: the target of :meth:`fill` or of :meth:`subset`'s ``out``."""
-        g = cls.__new__(cls)
-        g._allocate(shape, sample_shape)
-        return g
-
-    def _allocate(self, shape, sample_shape):
+    def __init__(self, shape, sample_shape):
+        """A geometry on a ``shape`` grid whose arrays, of ``sample_shape``, are
+        written by :meth:`fill` (``_x0`` is its scratch) or as :meth:`subset`'s ``out``."""
         self.shape = tuple(shape)
-        self.i00 = np.empty(sample_shape, dtype=np.intp)
+        self.i00, self._x0 = (np.empty(sample_shape, dtype=np.intp) for _ in range(2))
         self.fx, self.fy, self.gx, self.gy = (np.empty(sample_shape) for _ in range(4))
         self.in_x, self.in_y = (np.empty(sample_shape, dtype=bool) for _ in range(2))
 
-    def fill(self, px, py, x0):
+    def fill(self, px, py) -> SampleGeometry:
         """Rewrite the arrays in place for samples at (px, py), float64 arrays of
-        the arrays' shape; ``x0`` is intp scratch of that shape."""
-        in_x, in_y, i00 = self.in_x, self.in_y, self.i00
+        the arrays' shape, and return the geometry."""
+        in_x, in_y, i00, x0 = self.in_x, self.in_y, self.i00, self._x0
         # the masks hold the finiteness test until they are built
         if not (np.isfinite(px, out=in_x).all() and np.isfinite(py, out=in_y).all()):
             raise DomainError("sample coordinates must be finite")
@@ -241,11 +234,12 @@ class SampleGeometry:
         np.equal(cy, py, out=in_y)
         np.subtract(1, self.fx, out=self.gx)
         np.subtract(1, self.fy, out=self.gy)
+        return self
 
     def subset(self, idx, out: SampleGeometry | None = None) -> SampleGeometry:
         """The geometry of the samples at flat positions ``idx``, taken from this one;
-        with ``out`` (from :meth:`empty`), its arrays are views of the first
-        ``len(idx)`` entries of ``out``'s."""
+        with ``out``, a geometry of at least ``len(idx)`` samples, its arrays are
+        views of the first ``len(idx)`` entries of ``out``'s. A subset is not refilled."""
         sub = SampleGeometry.__new__(SampleGeometry)
         sub.shape = self.shape
         for name in SampleGeometry._ARRAYS:

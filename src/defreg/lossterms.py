@@ -87,15 +87,18 @@ _NGF_PLANES = 9  # gfx, gfy, gmx, gmy, the integrand, a, b, c and one scratch pl
 
 
 class LevelBuffers:
-    """Every image-sized array one :func:`total_loss` evaluation writes, and the
-    pixel positions it reads, for a level of ``shape`` (h, w) with ``channels``
-    one-hot channels (0 without labels).
+    """Every array one :func:`total_loss` evaluation writes, and the pixel
+    positions it reads, for a level of ``shape`` (h, w) with ``channels``
+    one-hot channels (0 without labels), each allocated once, here.
 
     The solver builds one set per pyramid level and passes it to each
     evaluation, so an evaluation allocates no image-sized array. A report's
     pullback reads the arrays of its own evaluation: it is valid until the next
     evaluation through the same buffers, which ``generation`` counts, and raises
-    after it. The band geometry holds up to every pixel; an evaluation uses a prefix.
+    after it. Each array belongs to one term: the image path's never hold the
+    boundary term's values, nor the other way round. The band arrays hold
+    ``channels`` entries per pixel, as if every pixel were in the band; an
+    evaluation uses a prefix of them.
     """
 
     def __init__(self, shape, channels: int = 0):
@@ -105,31 +108,25 @@ class LevelBuffers:
         self.channels = channels
         self.generation = 0
         self.positions = pixel_positions(h, w)
-        # the displacement, then the sample positions; once the geometry is
-        # filled, scratch for the band table's read and the image's slopes
+        # the displacement, then the sample positions, then the image's slopes
         self.coords = np.empty((2, h, w))
-        self.geom = SampleGeometry.empty(self.shape, self.shape)
-        self.index = np.empty(n, dtype=np.intp)  # the geometry's scratch, then the table index
-        # the corners of the image (the first plane then holding the warped
-        # image), or of one channel's band samples
-        self.corners = np.empty((4, n))
+        self.geom = SampleGeometry(self.shape, self.shape)
+        self.corners = np.empty((4, h, w))  # the image's; the first then holds the warped image
         self.ngf = np.empty((_NGF_PLANES, h, w))
-        self.force = np.empty((h, w, 2))  # the per-pixel cotangent of the displacement
+        self.force = np.empty((h, w, 2))  # D's per-pixel cotangent of the displacement
         if channels:
             self.cells = np.empty(n, dtype=np.intp)
+            self.index = np.empty(n, dtype=np.intp)  # into the flat label-distance table
+            self.table = np.empty(n)  # the table's read
             self.in_band = np.empty(n, dtype=bool)
             self.pixels = np.arange(n)
-            self.band_geom = SampleGeometry.empty(self.shape, n)
-            self._band = np.empty((8, 0))
-
-    def band_planes(self, size: int) -> np.ndarray:
-        """``(8, size)`` views for the K channels' band samples: the warped and
-        fixed samples, the two slopes and the four corners. The band is a few
-        percent of a fine level, so the planes are sized by the band, and
-        reallocated at twice the size when it outgrows them."""
-        if self._band.shape[1] < size:
-            self._band = np.empty((8, 2 * size))
-        return self._band[:, :size]
+            self.band_geom = SampleGeometry(self.shape, n)
+            # the warped and fixed samples, their slopes, and the corners of one
+            # channel's samples (forward) or of all K (backward)
+            self.band_samples = np.empty((2, channels * n))
+            self.band_slopes = np.empty((2, channels * n))
+            self.band_corners = np.empty((4, channels * n))
+            self.band_force = np.empty((h, w, 2))  # B's, zero off the band
 
 
 def _ngf_terms(gfx, gfy, gmx, gmy, epsilon: float, out=None):
@@ -273,31 +270,27 @@ def total_loss(fixed: Image2D, moving: Image2D,
     work.generation += 1
     generation = work.generation
 
-    geom = work.geom
-    geom.fill(*grid_sample_coords(grid, work.positions, out=work.coords),
-              work.index.reshape(geom.shape))
+    geom = work.geom.fill(*grid_sample_coords(grid, work.positions, out=work.coords))
 
     b_value = 0.0
-    band = band_geom = b_diff = planes = None
+    band = band_geom = b_diff = None
     if use_boundary:
         n = geom.i00.size
         cells = moving_oh.cell_labels.take(geom.i00.reshape(-1), out=work.cells, mode="clip")
         index = np.multiply(cells, n, out=work.index)
         index += work.pixels
         # row -1 of the table is zero, so band pixels add nothing here; "wrap"
-        # reads index -n + p as row -1, as the default mode would, without a
-        # copy. The sample positions are spent, so their plane takes the read.
+        # reads index -n + p as row -1, as the default mode would, without a copy
         uniform = float(np.sum(fixed_oh.label_sq_distances.take(
-            index, out=work.coords[0].reshape(-1), mode="wrap")))
+            index, out=work.table, mode="wrap")))
         band = np.flatnonzero(np.less(cells, 0, out=work.in_band))
         band_geom = geom.subset(band, out=work.band_geom)
         nb = band.size
-        planes = work.band_planes(k * nb)
-        warped_band, fixed_band = planes[0].reshape(k, nb), planes[1].reshape(k, nb)
+        warped_band, fixed_band = work.band_samples[:, :k * nb].reshape(2, k, nb)
         # one sampler call per channel, not one on the stack: perfbench counts
         # calls, and its smoke test pins 5 per loss evaluation
         for ch, row in zip(moving_oh.channels, warped_band):
-            bilinear_sample_with_grad(ch, band_geom, out=row, corners=work.corners[:, :nb])
+            bilinear_sample_with_grad(ch, band_geom, out=row, corners=work.band_corners[:, :nb])
         fixed_oh.channels.reshape(k, n).take(band, axis=1, out=fixed_band, mode="clip")
         # the difference overwrites the warped samples and its square the fixed ones
         b_value, b_diff = _ssd_core(fixed_band, warped_band, fixed.spacing,
@@ -306,10 +299,9 @@ def total_loss(fixed: Image2D, moving: Image2D,
 
     d_value = 0.0
     ngf_pullback = None
-    image_corners = work.corners.reshape(4, *geom.shape)
     if w.delta != 0.0:
-        warped = bilinear_sample_with_grad(moving.data, geom, out=image_corners[0],
-                                           corners=image_corners)
+        warped = bilinear_sample_with_grad(moving.data, geom, out=work.corners[0],
+                                           corners=work.corners)
         d_value, ngf_pullback = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon,
                                           work=work.ngf)
 
@@ -322,27 +314,26 @@ def total_loss(fixed: Image2D, moving: Image2D,
         # an absent term's gradient is zero; only present terms are splatted
         grad_d = np.zeros_like(grid.coeffs)
         grad_b = np.zeros_like(grid.coeffs)
-        force = work.force
         if ngf_pullback is not None:
             d_grad_warped = ngf_pullback()
             dmx, dmy = bilinear_slopes(moving.data, geom, out=work.coords,
-                                       corners=image_corners)
-            np.multiply(d_grad_warped, dmx, out=force[..., 0])
-            np.multiply(d_grad_warped, dmy, out=force[..., 1])
-            grad_d = splat_to_grid(force, grid)
+                                       corners=work.corners)
+            np.multiply(d_grad_warped, dmx, out=work.force[..., 0])
+            np.multiply(d_grad_warped, dmy, out=work.force[..., 1])
+            grad_d = splat_to_grid(work.force, grid)
         if b_diff is not None:
             b_grad = b_diff  # the pullback runs once: scale the difference in place
             b_grad *= fixed.spacing * fixed.spacing
             # the slopes are exactly zero off the band, so only band pixels get a force
             dkx, dky = bilinear_slopes(moving_oh.channels, band_geom,
-                                       out=planes[2:4].reshape(2, k, band.size),
-                                       corners=planes[4:8].reshape(4, k, band.size))
-            force.fill(0.0)
-            pixel_force = force.reshape(-1, 2)
+                                       out=work.band_slopes[:, :k * nb].reshape(2, k, nb),
+                                       corners=work.band_corners[:, :k * nb].reshape(4, k, nb))
+            work.band_force.fill(0.0)
+            pixel_force = work.band_force.reshape(-1, 2)
             for j, slope in enumerate((dkx, dky)):
                 slope *= b_grad
                 pixel_force[band, j] = np.sum(slope, axis=0)
-            grad_b = splat_to_grid(force, grid)
+            grad_b = splat_to_grid(work.band_force, grid)
         return grad_d, grad_b, w.delta * grad_d + w.alpha * grad_r + w.beta * grad_b
 
     total = w.delta * d_value + w.alpha * r_value + w.beta * b_value

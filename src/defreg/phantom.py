@@ -10,19 +10,28 @@ dense ground-truth correspondence is known by construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bspline import ControlGrid, densify, random_smooth_deformation, warp_image, warp_labels
 from .errors import ConfigurationError
-from .image import Image2D, LabelMap
+from .image import Image2D, LabelMap, is_real
 
 __all__ = ["PhantomSpec", "PhantomPair", "make_phantom", "make_pair"]
 
 LV_CAVITY = 1
 MYOCARDIUM = 2
 RV_CAVITY = 3
+
+
+def _check_amplitude(value, name: str):
+    """Raise a ``ConfigurationError`` naming ``value`` unless it is a real number,
+    not a bool, >= 0 and with a finite ``rng.uniform(-value, value)`` span."""
+    if not (is_real(value) and 0 <= value <= sys.float_info.max / 2):
+        raise ConfigurationError(
+            f"{name} must be a non-negative number with a finite span 2 * {name}, got {value!r}")
 
 
 @dataclass
@@ -42,6 +51,7 @@ class PhantomSpec:
     def __post_init__(self):
         if self.width < 8 or self.height < 8:
             raise ConfigurationError("phantom must be at least 8x8")
+        _check_amplitude(self.noise_amplitude, "noise_amplitude")
         if not (0 < self.lv_radius < self.myo_outer_radius):
             raise ConfigurationError("radii must be positive and nested")
         if self.rv_thickness <= 0:
@@ -74,9 +84,8 @@ class PhantomPair:
 
     @property
     def true_field(self):
-        fld = densify(self.true_grid, self.fixed_image.width, self.fixed_image.height)
-        fld.spacing = self.fixed_image.spacing
-        return fld
+        return densify(self.true_grid, self.fixed_image.width, self.fixed_image.height,
+                       self.fixed_image.spacing)
 
 
 def _gaussian_blur(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -135,6 +144,8 @@ def make_pair(spec: PhantomSpec, deform_magnitude_px: float = 2.0, seed: int = 0
     warping, mimicking per-acquisition scanner noise that no deformation can
     reconcile.
     """
+    _check_amplitude(deform_magnitude_px, "deform_magnitude_px")
+    _check_amplitude(observation_noise, "observation_noise")
     moving_img, moving_lab = make_phantom(spec)
     grid = random_smooth_deformation(spec.width, spec.height, deform_magnitude_px,
                                      seed=seed, spacing_px=control_spacing_px)

@@ -30,7 +30,7 @@ def ramp_x(w=8, h=6, spacing=1.0):
 
 def bilinear(data, px, py):
     """Values and coordinate derivatives of ``data`` sampled at (px, py)."""
-    geom = SampleGeometry(px, py, data.shape)
+    geom = SampleGeometry(data.shape, np.shape(px)).fill(px, py)
     return (bilinear_sample_with_grad(data, geom), *bilinear_slopes(data, geom))
 
 
@@ -80,7 +80,7 @@ class TestBilinearSample:
             bilinear(data, np.array([1.5]), np.array([0.0]))
 
     def test_data_must_match_geometry(self):
-        geom = SampleGeometry(np.array([1.5]), np.array([0.5]), (4, 4))
+        geom = SampleGeometry((4, 4), 1).fill(np.array([1.5]), np.array([0.5]))
         with pytest.raises(DomainError):
             bilinear_sample_with_grad(np.zeros((4, 5)), geom)
 
@@ -118,7 +118,7 @@ class TestGeometry:
         xs = np.array([0.0, 2.0, 3.25, self.W - 1.5, self.W - 1.0, -0.5, self.W + 0.7])
         ys = np.array([0.0, 1.75, self.H - 1.0, -2.0, self.H + 3.5])
         self.px, self.py = np.meshgrid(xs, ys)
-        self.geom = SampleGeometry(self.px, self.py, (self.H, self.W))
+        self.geom = SampleGeometry((self.H, self.W), self.px.shape).fill(self.px, self.py)
         self.stack = np.random.default_rng(11).random((3, self.H, self.W))
 
     def test_corners_equal_brute_force_gather(self):
@@ -140,7 +140,8 @@ class TestGeometry:
     def test_subset_equals_geometry_of_taken_coordinates(self):
         idx = np.array([0, 4, 5, 13, 20, 34])
         sub = self.geom.subset(idx)
-        ref = SampleGeometry(self.px.take(idx), self.py.take(idx), (self.H, self.W))
+        ref = SampleGeometry((self.H, self.W), idx.shape).fill(self.px.take(idx),
+                                                             self.py.take(idx))
         assert sub.shape == ref.shape
         for name in SampleGeometry._ARRAYS:
             got, want = getattr(sub, name), getattr(ref, name)
@@ -148,20 +149,19 @@ class TestGeometry:
             np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_fill_rewrites_the_arrays_in_place(self):
-        geom = SampleGeometry.empty((self.H, self.W), self.px.shape)
+        geom = SampleGeometry((self.H, self.W), self.px.shape)
         arrays = [getattr(geom, name) for name in SampleGeometry._ARRAYS]
         rng = np.random.default_rng(13)
-        scratch = np.empty(self.px.shape, dtype=np.intp)
         for px, py in ((rng.normal(scale=9.0, size=self.px.shape),) * 2, (self.px, self.py)):
-            geom.fill(px, py, scratch)
+            assert geom.fill(px, py) is geom
         for name, array in zip(SampleGeometry._ARRAYS, arrays):
             assert getattr(geom, name) is array, name
             assert array.tobytes() == getattr(self.geom, name).tobytes(), name
         with pytest.raises(DomainError, match="finite"):
-            geom.fill(np.full(self.px.shape, np.inf), self.py, scratch)
+            geom.fill(np.full(self.px.shape, np.inf), self.py)
 
     def test_subset_into_buffers_equals_subset(self):
-        out = SampleGeometry.empty((self.H, self.W), self.px.size)
+        out = SampleGeometry((self.H, self.W), self.px.size)
         for idx in (np.array([0, 4, 5, 13, 20, 34]), np.arange(self.px.size), np.array([], int)):
             sub, ref = self.geom.subset(idx, out=out), self.geom.subset(idx)
             for name in SampleGeometry._ARRAYS:
@@ -214,7 +214,7 @@ class TestNearestSample:
                              np.round(rng.uniform(-6, 2 * w + 4, 500)) / 2])
         py = np.concatenate([edges[::-1], [h - 1.0, h - 1.5, 0.5], rng.uniform(-3, h + 2, 500),
                              np.round(rng.uniform(-6, 2 * h + 4, 500)) / 2])
-        g = SampleGeometry(px, py, (h, w))
+        g = SampleGeometry((h, w), px.shape).fill(px, py)
         expected = labels.take(g.i00 + (g.fx >= 0.5) + w * (g.fy >= 0.5))
         np.testing.assert_array_equal(nearest_sample(labels, px, py), expected)
         np.testing.assert_array_equal(nearest_sample(labels, px.reshape(-1, 1), py.reshape(-1, 1)),
@@ -368,6 +368,22 @@ class TestOneHot:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             LabelMap(np.array([[0, 7]]), num_classes=4)
+
+    @pytest.mark.parametrize("num_classes", [4.0, True, 0])
+    def test_num_classes_must_be_a_positive_integer(self, num_classes):
+        with pytest.raises(DomainError, match="num_classes"):
+            LabelMap(np.array([[0, 1]]), num_classes=num_classes)
+
+    @pytest.mark.parametrize("value", [1.7, np.nan])
+    def test_non_integral_labels_rejected(self, value):
+        """A fractional label is refused, not truncated to the label below it."""
+        with pytest.raises(DomainError, match="labels must be integers"):
+            LabelMap(np.array([[0.0, value]]), num_classes=4)
+
+    def test_numpy_count_and_integral_floats_accepted(self):
+        lab = LabelMap(np.array([[0.0, 3.0]]), num_classes=np.int64(4))
+        assert lab.labels.dtype == np.int32
+        np.testing.assert_array_equal(lab.labels, [[0, 3]])
 
 
 class TestOneHotCells:

@@ -510,6 +510,24 @@ def test_truncated_pgm_header_fails_fast(bad_inputs):
     assert "truncated PGM header" in lines[0]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--magnitude", "inf"), ("--magnitude", "nan"), ("--magnitude", "1e308"),
+    ("--magnitude", "-1"), ("--noise", "inf"), ("--noise", "nan"), ("--noise", "-0.1")])
+def test_synth_bad_amplitude_exits_one_line(tmp_path, flag, value):
+    """A deformation magnitude or noise amplitude that is negative, not a number,
+    or whose span 2 * value overflows, run as a process: exit 1, one ``error:``
+    line naming it, and no pair written."""
+    proc = subprocess.run([sys.executable, "-m", "defreg.cli", "synth", "--pairs", "1",
+                           "--width", "32", "--height", "32", "--out", str(tmp_path / "out"),
+                           flag, value],
+                          env=_cli_env(), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert ("noise_amplitude" if flag == "--noise" else "deform_magnitude_px") in lines[0]
+    assert not any((tmp_path / "out").glob("*")), proc.stdout
+
+
 def test_numerical_failure_exits_two(tmp_path):
     """A non-finite loss (two images) or gradient norm (one image twice), run as a
     process: exit 2 and one ``numerical error:`` line naming the level and

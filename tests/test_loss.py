@@ -371,8 +371,8 @@ class TestTotalLoss:
         # the gate's B (boundary_ssd) and the solver's B share one kernel
         fixed, moving, foh, moh, grid = _random_problem(11)
         rep = total_loss(fixed, moving, foh, moh, grid, LossWeights(), with_grad=False)
-        geom = SampleGeometry(*sample_coords(densify(grid, fixed.width, fixed.height)),
-                              moving.data.shape)
+        geom = SampleGeometry(moving.data.shape, moving.data.shape).fill(
+            *sample_coords(densify(grid, fixed.width, fixed.height)))
         warped = OneHotStack(np.stack([bilinear_sample_with_grad(ch, geom) for ch in moh.channels]))
         assert rep.b_value == boundary_ssd(foh, warped)[0]
 
@@ -381,7 +381,7 @@ def _dense_boundary(fixed_oh, moving_oh, grid, spacing):
     """B and its coefficient gradient with every channel sampled and
     differentiated at every pixel: the reference for the narrow band."""
     h, w = moving_oh.channels.shape[1:]
-    geom = SampleGeometry(*sample_coords(densify(grid, w, h)), (h, w))
+    geom = SampleGeometry((h, w), (h, w)).fill(*sample_coords(densify(grid, w, h)))
     warped = np.stack([bilinear_sample_with_grad(ch, geom) for ch in moving_oh.channels])
     value, diff = _ssd_core(fixed_oh.channels, warped, spacing)
     cot = diff * spacing * spacing
@@ -536,4 +536,28 @@ class TestLevelBuffers:
         finally:
             tracemalloc.stop()
         assert rep.b_value > 0.0 if labelled else rep.b_value == 0.0
+        assert peak < 112 * 112 * 8
+
+    def test_band_growth_allocates_less_than_one_plane(self):
+        """The band arrays are sized for every pixel when the level starts, so an
+        evaluation whose band outgrows all earlier ones also peaks below one 112 px
+        plane; band planes that grew with the band peaked at 265,600 bytes here."""
+        pair = make_pair(PhantomSpec(), deform_magnitude_px=4.0, seed=1)
+        foh, moh = _build_onehot_pyramid(pair.fixed_labels, 1)[0], \
+            _build_onehot_pyramid(pair.moving_labels, 1)[0]
+        identity = make_grid(112, 112, 8.0)
+        # every sample clamps into the background corner: an empty band
+        clamped = ControlGrid(identity.spacing_px, np.full_like(identity.coeffs, -300.0))
+        work = LevelBuffers((112, 112), len(moh.channels))
+        args = (pair.fixed_image, pair.moving_image, foh, moh)
+        total_loss(*args, clamped, LossWeights(), work=work)
+        assert not work.in_band.any()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rep = total_loss(*args, identity, LossWeights(), work=work)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert work.in_band.any() and rep.grad_b.any()
         assert peak < 112 * 112 * 8

@@ -16,14 +16,18 @@ each after one warm-up pair that is not reported:
 
 Each pair prints one line: the suite, the pair's seed, ``getrusage``
 ``ru_minflt`` and the user and system CPU seconds of its ``register`` call.
-Each suite then prints its mean. Fault counts depend on the code and the C
-library, not on timing, so a parent and a change compare by one run each:
+Each suite then prints its mean. Fault counts depend on the code, the C
+library and the interpreter's memory layout, not on timing. The layout
+follows the string hash seed, so when ``PYTHONHASHSEED`` is unset the tool
+re-runs itself with ``PYTHONHASHSEED=0``. Runs then repeat to within a few
+faults per pair, so a parent and a change compare by one run each:
 
     diff <(python3 tools/faults_per_pair.py A) <(python3 tools/faults_per_pair.py B)
 """
 
 from __future__ import annotations
 
+import os
 import resource
 import sys
 from pathlib import Path
@@ -90,4 +94,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    if "PYTHONHASHSEED" not in os.environ:  # the fault counts follow the hash seed
+        os.execve(sys.executable, [sys.executable, *sys.argv],
+                  {**os.environ, "PYTHONHASHSEED": "0"})
     main()
