@@ -15,14 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import HUGE, TINY, ConfigurationError, DomainError, check_real
 from .image import (
     Image2D,
     LabelMap,
     SampleGeometry,
     bilinear_sample_with_grad,
     central_gradient_raw,
-    check_spacing,
     nearest_sample,
 )
 
@@ -57,7 +56,7 @@ class ControlGrid:
             raise DomainError(f"grid coeffs must be (rows, cols, 2), got {self.coeffs.shape}")
         if not np.all(np.isfinite(self.coeffs)):
             raise DomainError("grid coefficients must be finite")
-        check_spacing(self.spacing_px, "control spacing")
+        check_real(self.spacing_px, "control spacing", TINY, HUGE, DomainError)
 
     @property
     def rows(self) -> int:
@@ -81,7 +80,7 @@ class DisplacementField:
             raise DomainError(f"field must be (H, W, 2), got {self.u.shape}")
         if not np.all(np.isfinite(self.u)):
             raise DomainError("field values must be finite")
-        check_spacing(self.spacing)
+        check_real(self.spacing, "spacing", TINY, HUGE, DomainError)
 
     @property
     def width(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import io as regio
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import HUGE, ConfigurationError, DomainError, NumericalError, check_count, check_real
 from .image import Image2D, normalize_intensity
 from .lossterms import LossWeights
 from .metrics import difference_image, evaluate_pair
@@ -45,15 +45,11 @@ def _config_file_defaults(path) -> dict:
     for key, default in DEFAULTS.items():
         if key not in values:
             continue
-        value = values[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"{path}: {key} must be a number, got {value!r}")
+        # finite, so converting it to the flag's type cannot overflow
+        value = check_real(values[key], f"{path}: {key}", -HUGE, HUGE, ConfigurationError)
         if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
             raise ConfigurationError(f"{path}: {key} must be an integer, got {value!r}")
-        try:
-            settings[key] = type(default)(value)
-        except OverflowError:
-            raise ConfigurationError(f"{path}: {key} is out of range") from None
+        settings[key] = type(default)(value)
     return settings
 
 
@@ -111,14 +107,15 @@ def _fail(exc, prefix="") -> int:
 
 
 def cmd_synth(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    check_count(args.pairs, "--pairs", 1, ConfigurationError)
     # scale the default 112-px geometry to the requested size
     s = min(args.width, args.height) / 112.0
     spec = PhantomSpec(width=args.width, height=args.height, seed=args.seed,
                        center=(62.0 * s, 56.0 * s), lv_radius=13.0 * s,
                        myo_outer_radius=22.0 * s, rv_thickness=8.0 * s,
                        noise_amplitude=args.noise)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     entries = []
     for i in range(args.pairs):
         pair = make_pair(spec, deform_magnitude_px=args.magnitude, seed=args.seed + i)

@@ -14,21 +14,17 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import HUGE, TINY, DomainError, check_count, check_real
 
 __all__ = [
     "Image2D",
     "LabelMap",
     "OneHotStack",
-    "is_real",
-    "check_spacing",
     "SampleGeometry",
     "bilinear_sample_with_grad",
     "bilinear_slopes",
@@ -40,19 +36,6 @@ __all__ = [
     "normalize_intensity",
     "to_one_hot",
 ]
-
-
-def is_real(value) -> bool:
-    """Whether ``value`` is a real number and not a bool, so comparing it is safe."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def check_spacing(value, name: str = "spacing"):
-    """``value`` if it is a real number, not a bool, with 0 < value < inf;
-    otherwise a ``DomainError`` naming it."""
-    if not (is_real(value) and 0 < value < math.inf):
-        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-    return value
 
 
 @dataclass
@@ -70,7 +53,7 @@ class Image2D:
             raise DomainError(f"image must be non-empty, got {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise DomainError("image intensities must be finite")
-        check_spacing(self.spacing)
+        check_real(self.spacing, "spacing", TINY, HUGE, DomainError)
 
     @property
     def width(self) -> int:
@@ -89,9 +72,7 @@ class LabelMap:
     num_classes: int
 
     def __post_init__(self):
-        k = self.num_classes
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise DomainError(f"num_classes must be an integer >= 1, got {k!r}")
+        k = check_count(self.num_classes, "num_classes", 1, DomainError)
         labels = np.asarray(self.labels)
         if labels.ndim != 2:
             raise DomainError(f"label data must be 2D, got shape {labels.shape}")

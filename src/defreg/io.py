@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .bspline import ControlGrid, DisplacementField
-from .errors import DomainError
-from .image import Image2D, LabelMap, check_spacing
+from .errors import HUGE, TINY, DomainError, check_real
+from .image import Image2D, LabelMap
 
 __all__ = [
     "write_pgm", "read_pgm", "write_label_pgm", "read_label_pgm",
@@ -148,7 +148,8 @@ def _sidecar_spacing(raw_path, sidecar, key, default=None):
     absent, and a ``DomainError`` if it is absent with no default."""
     if key not in sidecar and default is not None:
         return default
-    return check_spacing(sidecar.get(key), f"{_sidecar_path(raw_path)}: {key}")
+    return check_real(sidecar.get(key), f"{_sidecar_path(raw_path)}: {key}", TINY, HUGE,
+                      DomainError)
 
 
 def write_raw_image(raw_path, img: Image2D):

@@ -27,7 +27,7 @@ import numpy as np
 from .bspline import (ControlGrid, grid_sample_coords, level_operators, pixel_positions,
                       splat_to_grid)
 from .bspline import densify  # noqa: F401  (not called; perfbench/run.py wraps this name)
-from .errors import ConfigurationError, DomainError
+from .errors import HUGE, ConfigurationError, DomainError, check_real
 from .image import (
     Image2D,
     OneHotStack,
@@ -36,7 +36,6 @@ from .image import (
     bilinear_slopes,
     central_gradient_raw,
     gradient_adjoint,
-    is_real,
 )
 
 __all__ = ["LossWeights", "LossReport", "LevelBuffers", "curvature", "boundary_ssd",
@@ -51,14 +50,11 @@ class LossWeights:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        for name in ("delta", "alpha", "beta", "epsilon"):
-            if not is_real(getattr(self, name)):
-                raise ConfigurationError(
-                    f"loss weight {name} must be a real number, got {getattr(self, name)!r}")
-        if not all(0 <= v < np.inf for v in (self.delta, self.alpha, self.beta)):
-            raise ConfigurationError("loss weights must be non-negative and finite")
-        if not 0 < self.epsilon < np.inf:
-            raise ConfigurationError("edge parameter epsilon must be positive and finite")
+        for name in ("delta", "alpha", "beta"):
+            check_real(getattr(self, name), f"loss weight {name}", 0, HUGE, ConfigurationError)
+        # NGF divides a^2 by b*c, each a sum padded by epsilon^2: epsilon^4 must be
+        # a positive finite float, or a flat region gives 0/0 or inf/inf
+        check_real(self.epsilon, "edge parameter epsilon", 1.5e-81, 1.15e77, ConfigurationError)
 
 
 @dataclass

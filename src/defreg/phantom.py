@@ -10,14 +10,13 @@ dense ground-truth correspondence is known by construction.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bspline import ControlGrid, densify, random_smooth_deformation, warp_image, warp_labels
-from .errors import ConfigurationError
-from .image import Image2D, LabelMap, is_real
+from .errors import HUGE, TINY, ConfigurationError, check_count, check_real
+from .image import Image2D, LabelMap
 
 __all__ = ["PhantomSpec", "PhantomPair", "make_phantom", "make_pair"]
 
@@ -26,12 +25,7 @@ MYOCARDIUM = 2
 RV_CAVITY = 3
 
 
-def _check_amplitude(value, name: str):
-    """Raise a ``ConfigurationError`` naming ``value`` unless it is a real number,
-    not a bool, >= 0 and with a finite ``rng.uniform(-value, value)`` span."""
-    if not (is_real(value) and 0 <= value <= sys.float_info.max / 2):
-        raise ConfigurationError(
-            f"{name} must be a non-negative number with a finite span 2 * {name}, got {value!r}")
+_MAX_AMPLITUDE = HUGE / 2  # the largest a whose rng.uniform(-a, a) span 2a is finite
 
 
 @dataclass
@@ -49,14 +43,17 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.width < 8 or self.height < 8:
-            raise ConfigurationError("phantom must be at least 8x8")
-        _check_amplitude(self.noise_amplitude, "noise_amplitude")
+        for name in ("width", "height"):
+            check_count(getattr(self, name), name, 8, ConfigurationError)
+        check_count(self.seed, "seed", 0, ConfigurationError)
+        check_real(self.noise_amplitude, "noise_amplitude", 0, _MAX_AMPLITUDE, ConfigurationError)
+        # the blur pads 4 sigma on each side, so sigma is bounded by the image size
+        check_real(self.smooth_sigma, "smooth_sigma", 0, max(self.width, self.height),
+                   ConfigurationError)
         if not (0 < self.lv_radius < self.myo_outer_radius):
             raise ConfigurationError("radii must be positive and nested")
-        if self.rv_thickness <= 0:
-            raise ConfigurationError("rv_thickness must be positive")
-        cx, cy = self.center
+        check_real(self.rv_thickness, "rv_thickness", TINY, HUGE, ConfigurationError)
+        cx, cy = (check_real(c, "center", -HUGE, HUGE, ConfigurationError) for c in self.center)
         if cx + self.myo_outer_radius >= self.width or cy + self.myo_outer_radius + self.rv_thickness >= self.height:
             raise ConfigurationError("phantom geometry does not fit the image")
         if cx - self.myo_outer_radius - self.rv_thickness < 0:
@@ -144,8 +141,12 @@ def make_pair(spec: PhantomSpec, deform_magnitude_px: float = 2.0, seed: int = 0
     warping, mimicking per-acquisition scanner noise that no deformation can
     reconcile.
     """
-    _check_amplitude(deform_magnitude_px, "deform_magnitude_px")
-    _check_amplitude(observation_noise, "observation_noise")
+    check_real(deform_magnitude_px, "deform_magnitude_px", 0, _MAX_AMPLITUDE, ConfigurationError)
+    check_real(observation_noise, "observation_noise", 0, _MAX_AMPLITUDE, ConfigurationError)
+    check_count(seed, "seed", 0, ConfigurationError)
+    # the same rule as the registration's control spacing: a lattice finer than the
+    # pixels has more nodes than pixels
+    check_real(control_spacing_px, "control_spacing_px", 1, HUGE, ConfigurationError)
     moving_img, moving_lab = make_phantom(spec)
     grid = random_smooth_deformation(spec.width, spec.height, deform_magnitude_px,
                                      seed=seed, spacing_px=control_spacing_px)

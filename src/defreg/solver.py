@@ -8,7 +8,6 @@ monotone non-increasing within a level.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -23,8 +22,8 @@ from .bspline import (
     make_grid,
     prolongate,
 )
-from .errors import ConfigurationError, DomainError, NumericalError
-from .image import Image2D, LabelMap, OneHotStack, block_mean, downsample, is_real, to_one_hot
+from .errors import HUGE, ConfigurationError, DomainError, NumericalError, check_count, check_real
+from .image import Image2D, LabelMap, OneHotStack, block_mean, downsample, to_one_hot
 from .lossterms import LevelBuffers, LossWeights, total_loss
 
 __all__ = ["RegistrationConfig", "LevelTrace", "RegistrationResult", "register", "ablate"]
@@ -44,15 +43,10 @@ class RegistrationConfig:
 
     def __post_init__(self):
         for name in ("num_levels", "max_iters_per_level"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1, got {count!r}")
+            check_count(getattr(self, name), name, 1, ConfigurationError)
         # a lattice finer than the pixels has more nodes than pixels, and its
         # grid and Gram matrices grow as 1/spacing^2
-        spacing = self.finest_control_spacing_px
-        if not (is_real(spacing) and 1 <= spacing < np.inf):
-            raise ConfigurationError("control spacing must be a finite real number of at "
-                                     f"least 1 pixel, got {spacing!r}")
+        check_real(self.finest_control_spacing_px, "control spacing", 1, HUGE, ConfigurationError)
 
 
 @dataclass
@@ -203,15 +197,16 @@ def register(fixed: Image2D, moving: Image2D,
     else:
         w = replace(w, beta=0.0)
 
+    # each level below the finest halves both axes, rounding up (downsample pads
+    # odd sizes), so the coarsest size is known before any level is built
+    coarse_w, coarse_h = (-(-n >> (cfg.num_levels - 1)) for n in (fixed.width, fixed.height))
+    if coarse_w < 8 or coarse_h < 8:
+        raise ConfigurationError(f"num_levels={cfg.num_levels} leaves a {coarse_w}x{coarse_h} "
+                                 "coarsest image; need at least 8x8")
+
     start = time.perf_counter()
     fixed_pyr = _build_pyramid(fixed, cfg.num_levels)
     moving_pyr = _build_pyramid(moving, cfg.num_levels)
-    coarse = fixed_pyr[-1]
-    if coarse.width < 8 or coarse.height < 8:
-        raise ConfigurationError(
-            f"num_levels={cfg.num_levels} leaves a {coarse.width}x{coarse.height} "
-            "coarsest image; need at least 8x8"
-        )
     if w.beta != 0.0:
         fixed_oh_pyr = _build_onehot_pyramid(fixed_lab, cfg.num_levels)
         moving_oh_pyr = _build_onehot_pyramid(moving_lab, cfg.num_levels)

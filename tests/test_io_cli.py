@@ -386,6 +386,7 @@ def bad_inputs(tmp_path):
         "levels27.json": json.dumps({"levels": 2.7}),
         "itersbool.json": json.dumps({"max_iters": True}),
         "deltastring.json": json.dumps({"delta": "1e0"}),
+        "alphainf.json": '{"alpha": Infinity}',
         "nope.json": "nope",
         "numbers.json": "[1,2]",
         "noid.json": json.dumps([pair]),
@@ -423,6 +424,7 @@ BAD_INPUTS = {
     "config_levels_not_integer": [*REGISTER_PAIR, "--config", "{d}/levels27.json"],
     "config_max_iters_bool": [*REGISTER_PAIR, "--config", "{d}/itersbool.json"],
     "config_weight_string": [*REGISTER_PAIR, "--config", "{d}/deltastring.json"],
+    "config_weight_infinite": [*REGISTER_PAIR, "--config", "{d}/alphainf.json"],
     "manifest_not_json": ["register", "--manifest", "{d}/nope.json", "--out", "{d}/out"],
     "manifest_not_objects": ["register", "--manifest", "{d}/numbers.json", "--out", "{d}/out"],
     "manifest_entry_without_id": ["register", "--manifest", "{d}/noid.json", "--out", "{d}/out"],
@@ -465,13 +467,21 @@ BAD_INPUTS = {
     "spacing_nan": [*REGISTER_PAIR, "--spacing", "nan"],
     "spacing_sub_pixel": [*REGISTER_PAIR, "--spacing", "1e-9"],
     "alpha_nan": [*REGISTER_PAIR, "--alpha", "nan"],
+    "epsilon_squared_overflows": [*REGISTER_PAIR, "--epsilon", "1e200"],
+    "levels_past_one_pixel": [*REGISTER_PAIR, "--levels", "2000"],
     "register_without_out": ["register", "--fixed", "{d}/img.raw", "--moving", "{d}/img.raw"],
     "unknown_flag": [*REGISTER_PAIR, "--no-such-flag"],
     "seed_env_not_int": ["synth", "--out", "{d}/synth"],
+    "seed_env_negative": ["synth", "--out", "{d}/synth"],
+    "seed_negative": ["synth", "--seed", "-1", "--out", "{d}/synth"],
+    "pairs_zero": ["synth", "--pairs", "0", "--out", "{d}/synth"],
+    "pairs_negative": ["synth", "--pairs", "-2", "--out", "{d}/synth"],
     "augment_removed": ["augment", "--manifest", "{d}/labeled.json", "--out", "{d}/aug"],
 }
 # the process environment of a case, beyond PYTHONPATH
-BAD_ENV = {"seed_env_not_int": {"REGVAR_SEED": "abc"}}
+BAD_ENV = {"seed_env_not_int": {"REGVAR_SEED": "abc"}, "seed_env_negative": {"REGVAR_SEED": "-3"}}
+# the setting a case's message must name, where another setting's message was printed
+BAD_NAMES = {"config_weight_infinite": "alpha", "levels_past_one_pixel": "num_levels"}
 
 
 def _cli_env(**extra):
@@ -492,6 +502,7 @@ def test_bad_input_exits_one_line(bad_inputs, case):
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert BAD_NAMES.get(case, "") in lines[0], proc.stderr
     written = set(bad_inputs.rglob("*")) - before
     assert all(bad_inputs / "out" in (p, *p.parents) for p in written), written
 

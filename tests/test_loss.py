@@ -274,11 +274,23 @@ class TestWeights:
 
     @pytest.mark.parametrize("kwargs", [
         {"delta": -1.0}, {"alpha": -0.5}, {"beta": -2.0},
-        {"epsilon": 0.0}, {"epsilon": -0.1},
+        {"epsilon": 0.0}, {"epsilon": -0.1}, {"epsilon": 1e-100}, {"epsilon": 1.2e77},
+        {"epsilon": 1e200},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             LossWeights(**kwargs)
+
+    @pytest.mark.parametrize("epsilon", [1.5e-81, 1.15e77])
+    def test_epsilon_at_its_bounds_gives_a_finite_loss(self, epsilon):
+        """At either end of epsilon's range epsilon^4 is a positive finite float, so a
+        flat image's NGF, a^2 / (b * c) with every sum equal to epsilon^2, neither
+        divides by zero nor overflows; 1e-100 gave 0/0 there and 1e78 inf/inf."""
+        flat = Image2D(np.full((8, 8), 0.5))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rep = total_loss(flat, flat, None, None, make_grid(8, 8, 4.0),
+                             LossWeights(epsilon=epsilon))
+            assert rep.total == 0.0 and np.all(rep.backward() == 0.0)
 
 
 def _random_problem(seed, h=14, w=16, spacing_px=5.0, amp=0.5):

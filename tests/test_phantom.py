@@ -79,6 +79,20 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             PhantomSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(width=112.5), dict(height=7), dict(smooth_sigma=np.inf),
+        dict(smooth_sigma=np.nan), dict(smooth_sigma=-1.0), dict(smooth_sigma=113.0),
+        dict(center=(np.nan, 56.0)), dict(rv_thickness=np.nan), dict(seed=-1), dict(seed=1.5),
+    ], ids=repr)
+    def test_bad_setting_rejected_naming_it(self, kwargs):
+        # 112.5 died with a TypeError when drawn, an infinite sigma with an
+        # OverflowError, a NaN sigma or a negative one skipped the blur, a NaN
+        # center was accepted, a NaN rv_thickness drew no RV, and -1 failed in numpy.
+        # A sigma above the image size is refused before the blur pads 4 sigma a side
+        (name,) = kwargs
+        with pytest.raises(ConfigurationError, match=name):
+            PhantomSpec(**kwargs)
+
 
 class TestDeterminism:
     def test_phantom_reproducible(self):
@@ -131,6 +145,17 @@ class TestMakePair:
                           observation_noise=0.05)
         assert np.array_equal(clean.fixed_image.data, clean.moving_image.data)
         assert not np.array_equal(noisy.fixed_image.data, noisy.moving_image.data)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=-1), dict(seed=2.0), dict(control_spacing_px=0.0),
+        dict(control_spacing_px=-8.0), dict(control_spacing_px=np.nan),
+    ], ids=repr)
+    def test_bad_argument_rejected_naming_it(self, kwargs):
+        # -1 failed in numpy, and a zero, negative or NaN spacing raised a
+        # ZeroDivisionError or a ValueError from the grid's shape
+        (name,) = kwargs
+        with pytest.raises(ConfigurationError, match=name):
+            make_pair(PhantomSpec(**SMALL), **kwargs)
 
     def test_labels_follow_field(self):
         # The fixed labels are the moving labels pushed through the true field,

@@ -254,11 +254,15 @@ class TestValidation:
             register(Image2D(np.zeros((32, 32))), Image2D(np.zeros((32, 32)), spacing=3.0),
                      cfg=FAST)
 
-    def test_too_many_levels_rejected(self):
+    def test_too_many_levels_rejected(self, monkeypatch):
+        # checked before any level is built: 2000 levels halved a 64 px image to
+        # 1x1 until the doubled spacing overflowed, and named the spacing
+        monkeypatch.setattr(solver, "_build_pyramid", lambda *_: pytest.fail("a level was built"))
         pair = small_pair()
-        with pytest.raises(ConfigurationError):
-            register(pair.fixed_image, pair.moving_image,
-                     cfg=replace(FAST, num_levels=5))
+        for levels in (5, 2000, 10**9):
+            with pytest.raises(ConfigurationError, match="num_levels"):
+                register(pair.fixed_image, pair.moving_image,
+                         cfg=replace(FAST, num_levels=levels))
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_levels=0), dict(finest_control_spacing_px=0.0),

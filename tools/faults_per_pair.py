@@ -3,9 +3,10 @@
 
     python3 tools/faults_per_pair.py ROOT [PAIRS]
 
-``ROOT`` is the root of a checkout; its ``src/defreg`` is imported. Three
-suites are registered in this one process with the default configuration,
-each after one warm-up pair that is not reported:
+``ROOT`` is the root of a checkout; its ``src/defreg`` is imported, and the
+criterion-5 recipe (``ablation_pair``) from its ``tests/test_acceptance.py``.
+Three suites are registered in this one process with the default
+configuration, each after one warm-up pair that is not reported:
 
 * ``labelled112``: the criterion-4 recipe, 112 px pairs with a 4 px field
   and their label maps;
@@ -37,7 +38,7 @@ def suites(pairs: int):
     """``(name, [(seed, fixed, moving, fixed_labels, moving_labels)])`` per suite;
     seed 0 of each suite is its warm-up pair."""
     from defreg import PhantomSpec, make_pair
-    from defreg.bspline import densify, random_smooth_deformation, warp_labels
+    from test_acceptance import ablation_pair
 
     recovery = [(seed, make_pair(PhantomSpec(), deform_magnitude_px=4.0, seed=seed))
                 for seed in range(pairs + 1)]
@@ -45,26 +46,14 @@ def suites(pairs: int):
                           for seed, p in recovery]
     yield "unlabelled112", [(seed, p.fixed_image, p.moving_image, None, None)
                             for seed, p in recovery]
-
-    weak = []
-    spec = PhantomSpec(width=64, height=64, center=(36.0, 32.0),
-                       lv_radius=8.0, myo_outer_radius=13.0, rv_thickness=5.0)
-    for seed in range(pairs + 1):
-        # the criterion-5 recipe (tests/test_acceptance.py, ablation_pair)
-        p = make_pair(spec, deform_magnitude_px=8.0, seed=seed,
-                      control_spacing_px=8.0, observation_noise=0.02)
-        jitter = [densify(random_smooth_deformation(64, 64, 2.5, seed=(seed, j),
-                                                    spacing_px=8.0), 64, 64)
-                  for j in (11, 13)]
-        weak.append((seed, p.fixed_image, p.moving_image,
-                     warp_labels(p.fixed_labels, jitter[0]),
-                     warp_labels(p.moving_labels, jitter[1])))
-    yield "weak64", weak
+    weak = [(seed, *ablation_pair(seed)) for seed in range(pairs + 1)]
+    yield "weak64", [(seed, p.fixed_image, p.moving_image, sup_fixed, sup_moving)
+                     for seed, p, sup_fixed, sup_moving in weak]
 
 
 def measure(root: Path, pairs: int):
     """Yield one ``(suite, seed, minflt, user_s, sys_s)`` per reported pair."""
-    sys.path.insert(0, str(root / "src"))
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
     from defreg import register
 
     for name, cases in suites(pairs):
