@@ -28,6 +28,7 @@ __all__ = [
     "SampleGeometry",
     "bilinear_sample_with_grad",
     "bilinear_slopes",
+    "cell_differences",
     "nearest_sample",
     "central_gradient_raw",
     "gradient_adjoint",
@@ -98,9 +99,9 @@ class LabelMap:
 class OneHotStack:
     """K scalar channels over one pixel grid; channels from a LabelMap are binary.
 
-    Immutable: the channels are a read-only copy, so the two read-only arrays
-    derived from them on first use, :attr:`cell_labels` and
-    :attr:`label_sq_distances`, never go stale. They live and die with the stack.
+    Immutable: the channels are a read-only copy, so the read-only arrays derived
+    from them on first use (the properties below) never go stale. They live and
+    die with the stack.
     """
 
     channels: np.ndarray  # (K, H, W)
@@ -119,6 +120,11 @@ class OneHotStack:
         bilinear sample in it is ``e_l`` and its slopes are zero; -1 otherwise
         (the band, and the last row and column, which start no cell)."""
         return _cell_labels(self.channels)
+
+    @cached_property
+    def cell_differences(self):
+        """The channels' :func:`cell_differences`, which :func:`bilinear_slopes` reads."""
+        return cell_differences(self.channels)
 
     @cached_property
     def label_sq_distances(self) -> np.ndarray:
@@ -230,27 +236,20 @@ class SampleGeometry:
 
 
 def _corners(data: np.ndarray, g: SampleGeometry, out=None):
-    """Values at the four corners of every sample, for one ``(h, w)`` channel or
-    a ``(K, h, w)`` stack, written into ``out``, ``(4, *data.shape[:-2], *g.i00.shape)``
-    (allocated when None), and returned as its four planes.
+    """Values of one ``(h, w)`` channel at the four corners of every sample,
+    written into ``out``, ``(4, *g.i00.shape)`` (allocated when None), and
+    returned as its four planes.
 
-    The three other corners are read from offset views of each channel's flat
-    data at ``i00``. ``take`` reads a 1D view in place (a 2D slice of a stack
-    would be copied), and writes into a contiguous ``out`` in place with
+    The three other corners are read from offset views of the flat data at
+    ``i00``. ``take`` writes into a contiguous ``out`` in place with
     ``mode="clip"``; ``i00`` is range-checked by the geometry, so nothing is clipped."""
-    if data.shape[-2:] != g.shape:
+    if data.shape != g.shape:
         raise DomainError(f"sampled data {data.shape} does not match the geometry {g.shape}")
-    offsets = (0, 1, g.shape[1], g.shape[1] + 1)
     if out is None:
-        out = np.empty((4, *data.shape[:-2], *g.i00.shape))
-    if data.ndim == 2:
-        flat = data.reshape(-1)
-        for j, offset in enumerate(offsets):
-            flat[offset:].take(g.i00, out=out[j, ...], mode="clip")
-    else:
-        for k, channel in enumerate(data.reshape(len(data), -1)):
-            for j, offset in enumerate(offsets):
-                channel[offset:].take(g.i00, out=out[j, k, ...], mode="clip")
+        out = np.empty((4, *g.i00.shape))
+    flat = data.reshape(-1)
+    for j, offset in enumerate((0, 1, g.shape[1], g.shape[1] + 1)):
+        flat[offset:].take(g.i00, out=out[j, ...], mode="clip")
     # out[j, ...] is an array even for one sample, where out[j] would be a scalar
     return out[0, ...], out[1, ...], out[2, ...], out[3, ...]
 
@@ -273,30 +272,49 @@ def bilinear_sample_with_grad(data: np.ndarray, g: SampleGeometry, out=None,
     return np.add(v00, v10, out=out)
 
 
-def bilinear_slopes(data: np.ndarray, g: SampleGeometry, out=None, corners=None):
-    """Derivatives of the bilinear interpolant w.r.t. the sample coordinates, as (ddx, ddy),
-    for one channel or, with a leading axis, for each channel of a stack; written
-    into ``out[0]`` and ``out[1]`` when given, with ``corners`` as in
-    :func:`bilinear_sample_with_grad`.
+def cell_differences(data: np.ndarray):
+    """Read-only ``Dx[i] = f[i+1] - f[i]`` and ``Dy[i] = f[i+w] - f[i]`` over the
+    flat data ``f`` of a ``(h, w)`` channel or of each channel of a ``(K, h, w)`` stack."""
+    w = data.shape[-1]
+    flat = data.reshape(*data.shape[:-2], -1)
+    dx, dy = flat[..., 1:] - flat[..., :-1], flat[..., w:] - flat[..., :-w]
+    dx.flags.writeable = dy.flags.writeable = False
+    return dx, dy
 
-    A clamped coordinate no longer moves the sample, so its derivative is
-    zero; the other axis keeps its usual interpolant derivative."""
-    v00, v01, v10, v11 = _corners(data, g, corners)
+
+def bilinear_slopes(diffs, g: SampleGeometry, out=None, scratch=None):
+    """Derivatives of the bilinear interpolant w.r.t. the sample coordinates, as
+    (ddx, ddy), of the channel or, with a leading axis, of each channel of the
+    stack whose :func:`cell_differences` are ``diffs``; written into ``out[0]``
+    and ``out[1]`` when given, with ``scratch``, an array of one output's shape.
+
+    With the corners v00, v01, v10, v11 of :func:`_corners`, ddx = gy * (v01 -
+    v00) + fy * (v11 - v10) and ddy = gx * (v10 - v00) + fx * (v11 - v01): the
+    differences are Dx[i00], Dx[i00 + w], Dy[i00] and Dy[i00 + 1]. A clamped
+    coordinate gets zero derivative; the other axis keeps its own."""
+    dx, dy = diffs
+    h, w = g.shape
+    if dx.shape[-1] != h * w - 1 or dy.shape[-1] != h * w - w:
+        raise DomainError(f"cell differences do not match the geometry {g.shape}")
     if out is None:
-        out = np.empty((2, *v00.shape))
+        out = np.empty((2, *dx.shape[:-1], *g.i00.shape))
     ddx, ddy = out[0, ...], out[1, ...]
-    # ddx = gy * (v01 - v00) + fy * (v11 - v10), ddy = gx * (v10 - v00) + fx * (v11 - v01);
-    # v00 and v10 hold the second terms once their first uses are done
-    np.multiply(g.gy, np.subtract(v01, v00, out=ddx), out=ddx)
-    np.multiply(g.gx, np.subtract(v10, v00, out=ddy), out=ddy)
-    ddx += np.multiply(g.fy, np.subtract(v11, v10, out=v00), out=v00)
-    ddy += np.multiply(g.fx, np.subtract(v11, v01, out=v10), out=v10)
-    # times the masks as 1.0/0.0, as float * bool casts them; v01 and v11 are free
-    # now, and copyto casts without the ufunc's buffer
-    np.copyto(v01, g.in_x)
-    ddx *= v01
-    np.copyto(v11, g.in_y)
-    ddy *= v11
+    t = np.empty(ddx.shape) if scratch is None else scratch
+
+    def take(d, offset, dst):  # d[..., offset + i00] into dst, as _corners reads
+        for k in np.ndindex(d.shape[:-1]):
+            d[k][offset:].take(g.i00, out=dst[(*k, ...)], mode="clip")
+        return dst
+    np.multiply(take(dx, 0, ddx), g.gy, out=ddx)
+    ddx += np.multiply(take(dx, w, t), g.fy, out=t)
+    np.multiply(take(dy, 0, ddy), g.gx, out=ddy)
+    ddy += np.multiply(take(dy, 1, t), g.fx, out=t)
+    # times the masks as 1.0/0.0, as float * bool casts them; copyto casts
+    # without the ufunc's buffer
+    np.copyto(t, g.in_x)
+    ddx *= t
+    np.copyto(t, g.in_y)
+    ddy *= t
     return ddx, ddy
 
 

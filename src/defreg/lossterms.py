@@ -34,6 +34,7 @@ from .image import (
     SampleGeometry,
     bilinear_sample_with_grad,
     bilinear_slopes,
+    cell_differences,
     central_gradient_raw,
     gradient_adjoint,
 )
@@ -79,13 +80,13 @@ class LossReport:
         return self.grad_total
 
 
-_NGF_PLANES = 9  # gfx, gfy, gmx, gmy, the integrand, a, b, c and one scratch plane
+_NGF_PLANES = 7  # gmx, gmy, the integrand, a, b and two scratch planes
 
 
 class LevelBuffers:
     """Every array one :func:`total_loss` evaluation writes, and the pixel
-    positions it reads, for a level of ``shape`` (h, w) with ``channels``
-    one-hot channels (0 without labels), each allocated once, here.
+    positions and image constants it reads, for a level of ``shape`` (h, w) with
+    ``channels`` one-hot channels (0 without labels), each allocated once, here.
 
     The solver builds one set per pyramid level and passes it to each
     evaluation, so an evaluation allocates no image-sized array. A report's
@@ -107,8 +108,9 @@ class LevelBuffers:
         # the displacement, then the sample positions, then the image's slopes
         self.coords = np.empty((2, h, w))
         self.geom = SampleGeometry(self.shape, self.shape)
-        self.corners = np.empty((4, h, w))  # the image's; the first then holds the warped image
+        self.corners = np.empty((4, h, w))  # then the warped image, then the slopes' scratch
         self.ngf = np.empty((_NGF_PLANES, h, w))
+        self._constants = None  # the inputs and results of image_constants
         self.force = np.empty((h, w, 2))  # D's per-pixel cotangent of the displacement
         if channels:
             self.cells = np.empty(n, dtype=np.intp)
@@ -117,22 +119,40 @@ class LevelBuffers:
             self.in_band = np.empty(n, dtype=bool)
             self.pixels = np.arange(n)
             self.band_geom = SampleGeometry(self.shape, n)
-            # the warped and fixed samples, their slopes, and the corners of one
-            # channel's samples (forward) or of all K (backward)
+            # the warped and fixed samples, their slopes and the slopes' scratch,
+            # and the corners of one channel's samples
             self.band_samples = np.empty((2, channels * n))
-            self.band_slopes = np.empty((2, channels * n))
-            self.band_corners = np.empty((4, channels * n))
+            self.band_slopes = np.empty((3, channels * n))
+            self.band_corners = np.empty((4, n))
             self.band_force = np.empty((h, w, 2))  # B's, zero off the band
 
+    def image_constants(self, fixed: Image2D, moving: Image2D, epsilon: float):
+        """The fixed image's :func:`_fixed_ngf` planes and the moving image's
+        :func:`cell_differences`, computed again whenever the image arrays (by
+        identity, not content), the spacing or epsilon differ from the last call's."""
+        kept = self._constants
+        if (kept is None or kept[0] is not fixed.data or kept[1] is not moving.data
+                or kept[2:4] != (fixed.spacing, epsilon)):
+            kept = self._constants = (fixed.data, moving.data, fixed.spacing, epsilon,
+                                      _fixed_ngf(fixed.data, fixed.spacing, epsilon),
+                                      cell_differences(moving.data))
+        return kept[4:]
 
-def _ngf_terms(gfx, gfy, gmx, gmy, epsilon: float, out=None):
-    """The pointwise NGF integrand and the three sums it is built from:
-    a = <gM,gF> + eps^2, b = |gM|^2 + eps^2, c = |gF|^2 + eps^2; written into
-    ``out[0..3]``, with ``out[4]`` as scratch (allocated when None)."""
+
+def _fixed_ngf(fixed_data, spacing: float, epsilon: float):
+    """The NGF planes of the fixed image alone: gfx, gfy and c = |gF|^2 + eps^2."""
+    gfx, gfy = central_gradient_raw(fixed_data, spacing)
+    return gfx, gfy, gfx * gfx + gfy * gfy + epsilon * epsilon
+
+
+def _ngf_terms(gfx, gfy, c, gmx, gmy, epsilon: float, out=None):
+    """The pointwise NGF integrand and the two sums it is built from besides c:
+    a = <gM,gF> + eps^2, b = |gM|^2 + eps^2; written into ``out[0..2]``, with
+    ``out[3]`` as scratch (allocated when None)."""
     if out is None:
-        out = np.empty((5, *np.broadcast(gfx, gfy, gmx, gmy).shape))
+        out = np.empty((4, *np.broadcast(gfx, gfy, gmx, gmy).shape))
     # out[i, ...] is an array even for scalar inputs, where out[i] is a scalar
-    integrand, a, b, c, t = (out[i, ...] for i in range(5))
+    integrand, a, b, t = (out[i, ...] for i in range(4))
     e2 = epsilon * epsilon
     np.multiply(gmx, gfx, out=a)
     a += np.multiply(gmy, gfy, out=t)
@@ -140,44 +160,45 @@ def _ngf_terms(gfx, gfy, gmx, gmy, epsilon: float, out=None):
     np.multiply(gmx, gmx, out=b)
     b += np.multiply(gmy, gmy, out=t)
     b += e2
-    np.multiply(gfx, gfx, out=c)
-    c += np.multiply(gfy, gfy, out=t)
-    c += e2
     # 1 - (a * a) / (b * c)
     np.multiply(a, a, out=integrand)
     integrand /= np.multiply(b, c, out=t)
     np.subtract(1.0, integrand, out=integrand)
-    return integrand, a, b, c
+    return integrand, a, b
 
 
 def ngf_integrand(gfx, gfy, gmx, gmy, epsilon: float):
     """Pointwise NGF integrand 1 - <gM,gF>_eps^2 / (|gM|_eps^2 |gF|_eps^2), in [0,1]."""
-    return _ngf_terms(gfx, gfy, gmx, gmy, epsilon)[0]
+    c = gfx * gfx + gfy * gfy + epsilon * epsilon
+    return _ngf_terms(gfx, gfy, c, gmx, gmy, epsilon)[0]
 
 
-def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float, work=None):
+def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float, work=None,
+              fixed_ngf=None):
     """NGF value and its pullback: a closure over the image gradients and the
     three sums that returns the gradient w.r.t. the warped intensity values.
 
-    Everything is written into ``work``, ``(9, h, w)`` planes (allocated when
-    None). The pullback builds its result in place over them, so it runs once."""
+    ``fixed_ngf`` is ``_fixed_ngf(fixed_data, spacing, epsilon)``, computed here
+    when None; everything else is written into ``work``, ``(7, h, w)`` planes
+    (allocated when None). The pullback builds its result in place, so it runs once."""
+    fixed_ngf = _fixed_ngf(fixed_data, spacing, epsilon) if fixed_ngf is None else fixed_ngf
     if work is None:
-        work = np.empty((_NGF_PLANES, *fixed_data.shape))
-    gfx, gfy = central_gradient_raw(fixed_data, spacing, out=work[0:2])
-    gmx, gmy = central_gradient_raw(warped_data, spacing, out=work[2:4])
-    integrand, a, b, c = _ngf_terms(gfx, gfy, gmx, gmy, epsilon, out=work[4:9])
+        work = np.empty((_NGF_PLANES, *warped_data.shape))
+    gfx, gfy, c = fixed_ngf
+    gmx, gmy = central_gradient_raw(warped_data, spacing, out=work[0:2])
+    integrand, a, b = _ngf_terms(gfx, gfy, c, gmx, gmy, epsilon, out=work[2:6])
     sp2 = spacing * spacing
     value = 0.5 * sp2 * np.sum(integrand)
 
     def pullback() -> np.ndarray:
         # d(value)/d gM_j = sp2 * (a^2 gM_j / b^2 - a gF_j / b) / c; gM_j becomes
-        # that cotangent q_j and gF_j its second term
+        # that cotangent q_j
         aa = np.multiply(a, a, out=integrand)
-        bb = np.multiply(b, b, out=work[8])
+        bb = np.multiply(b, b, out=work[5])
         for gm, gf in ((gmx, gfx), (gmy, gfy)):
             q = np.multiply(aa, gm, out=gm)
             q /= bb
-            second = np.multiply(a, gf, out=gf)
+            second = np.multiply(a, gf, out=work[6])
             second /= b
             q -= second
             q *= sp2
@@ -237,7 +258,7 @@ def total_loss(fixed: Image2D, moving: Image2D,
     Every image-sized array is written into ``work``, a :class:`LevelBuffers`
     for this level; without one, the call makes its own. A report made through
     shared buffers must run its backward pass before the next evaluation
-    through them.
+    through them, which also keep what depends only on the images.
 
     B is exact but narrow-band: one integer gather of ``moving_oh.cell_labels``
     at the samples' cells finds the pixels whose sample is a one-hot vector
@@ -296,10 +317,11 @@ def total_loss(fixed: Image2D, moving: Image2D,
     d_value = 0.0
     ngf_pullback = None
     if w.delta != 0.0:
+        fixed_ngf, moving_diffs = work.image_constants(fixed, moving, w.epsilon)
         warped = bilinear_sample_with_grad(moving.data, geom, out=work.corners[0],
                                            corners=work.corners)
         d_value, ngf_pullback = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon,
-                                          work=work.ngf)
+                                          work=work.ngf, fixed_ngf=fixed_ngf)
 
     r_value, grad_r = curvature(grid, fixed.width, fixed.height, fixed.spacing)
 
@@ -312,8 +334,8 @@ def total_loss(fixed: Image2D, moving: Image2D,
         grad_b = np.zeros_like(grid.coeffs)
         if ngf_pullback is not None:
             d_grad_warped = ngf_pullback()
-            dmx, dmy = bilinear_slopes(moving.data, geom, out=work.coords,
-                                       corners=work.corners)
+            dmx, dmy = bilinear_slopes(moving_diffs, geom, out=work.coords,
+                                       scratch=work.corners[0])
             np.multiply(d_grad_warped, dmx, out=work.force[..., 0])
             np.multiply(d_grad_warped, dmy, out=work.force[..., 1])
             grad_d = splat_to_grid(work.force, grid)
@@ -321,9 +343,9 @@ def total_loss(fixed: Image2D, moving: Image2D,
             b_grad = b_diff  # the pullback runs once: scale the difference in place
             b_grad *= fixed.spacing * fixed.spacing
             # the slopes are exactly zero off the band, so only band pixels get a force
-            dkx, dky = bilinear_slopes(moving_oh.channels, band_geom,
-                                       out=work.band_slopes[:, :k * nb].reshape(2, k, nb),
-                                       corners=work.band_corners[:, :k * nb].reshape(4, k, nb))
+            slopes = work.band_slopes[:, :k * nb].reshape(3, k, nb)
+            dkx, dky = bilinear_slopes(moving_oh.cell_differences, band_geom, out=slopes[:2],
+                                       scratch=slopes[2])
             work.band_force.fill(0.0)
             pixel_force = work.band_force.reshape(-1, 2)
             for j, slope in enumerate((dkx, dky)):

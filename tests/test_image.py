@@ -17,6 +17,7 @@ from defreg.image import (
     bilinear_sample_with_grad,
     bilinear_slopes,
     block_mean,
+    cell_differences,
     central_gradient_raw,
     gradient_adjoint,
     nearest_sample,
@@ -31,7 +32,8 @@ def ramp_x(w=8, h=6, spacing=1.0):
 def bilinear(data, px, py):
     """Values and coordinate derivatives of ``data`` sampled at (px, py)."""
     geom = SampleGeometry(data.shape, np.shape(px)).fill(px, py)
-    return (bilinear_sample_with_grad(data, geom), *bilinear_slopes(data, geom))
+    return (bilinear_sample_with_grad(data, geom),
+            *bilinear_slopes(cell_differences(data), geom))
 
 
 def bilinear_at(img, p):
@@ -121,17 +123,36 @@ class TestGeometry:
         self.geom = SampleGeometry((self.H, self.W), self.px.shape).fill(self.px, self.py)
         self.stack = np.random.default_rng(11).random((3, self.H, self.W))
 
-    def test_corners_equal_brute_force_gather(self):
+    def brute_force_corners(self, data):
+        """v00, v01, v10, v11 of every sample, by 2D indexing of each channel."""
         cx = np.clip(self.px, 0.0, self.W - 1.0)
         cy = np.clip(self.py, 0.0, self.H - 1.0)
         x0 = np.minimum(np.floor(cx).astype(int), self.W - 2)
         y0 = np.minimum(np.floor(cy).astype(int), self.H - 2)
         assert (x0 == self.W - 2).any() and (cx == self.W - 1.0).any()  # last column
         assert (y0 == self.H - 2).any() and (cy == self.H - 1.0).any()  # last row
+        return [data[..., y0 + dy, x0 + dx] for dy in (0, 1) for dx in (0, 1)]
+
+    def test_corners_equal_brute_force_gather(self):
+        data = self.stack[0]
+        for got, ref in zip(_corners(data, self.geom), self.brute_force_corners(data),
+                            strict=True):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_slopes_equal_corner_formula_bit_for_bit(self):
+        """Slopes read from the cell differences equal the interpolant's derivative
+        built from the four corners, bit for bit, for one channel and a stack, with
+        samples clamped on both axes."""
+        g = self.geom
+        assert not g.in_x.all() and not g.in_y.all()
         for data in (self.stack[0], self.stack):
-            want = [data[..., y0 + dy, x0 + dx] for dy in (0, 1) for dx in (0, 1)]
-            for got, ref in zip(_corners(data, self.geom), want, strict=True):
-                np.testing.assert_array_equal(got, ref)
+            v00, v01, v10, v11 = self.brute_force_corners(data)
+            want_x = (g.gy * (v01 - v00) + g.fy * (v11 - v10)) * g.in_x
+            want_y = (g.gx * (v10 - v00) + g.fx * (v11 - v01)) * g.in_y
+            ddx, ddy = bilinear_slopes(cell_differences(data), g)
+            assert ddx.shape == ddy.shape == data.shape[:-2] + self.px.shape
+            assert ddx.tobytes() == want_x.tobytes()
+            assert ddy.tobytes() == want_y.tobytes()
 
     def test_domain_masks_equal_range_test(self):
         np.testing.assert_array_equal(self.geom.in_x, (self.px >= 0) & (self.px <= self.W - 1))
@@ -172,9 +193,9 @@ class TestGeometry:
 
     def test_stacked_slopes_equal_per_channel_calls(self):
         for geom in (self.geom, self.geom.subset(np.arange(0, 35, 3))):
-            ddx, ddy = bilinear_slopes(self.stack, geom)
+            ddx, ddy = bilinear_slopes(cell_differences(self.stack), geom)
             for k, channel in enumerate(self.stack):
-                cx, cy = bilinear_slopes(channel, geom)
+                cx, cy = bilinear_slopes(cell_differences(channel), geom)
                 np.testing.assert_array_equal(ddx[k], cx)
                 np.testing.assert_array_equal(ddy[k], cy)
 

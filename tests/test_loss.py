@@ -3,6 +3,7 @@
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from defreg.image import (
     SampleGeometry,
     bilinear_sample_with_grad,
     bilinear_slopes,
+    cell_differences,
     central_gradient_raw,
 )
 from defreg.lossterms import LevelBuffers, _ngf_core, _ssd_core, ngf_integrand
@@ -397,7 +399,7 @@ def _dense_boundary(fixed_oh, moving_oh, grid, spacing):
     warped = np.stack([bilinear_sample_with_grad(ch, geom) for ch in moving_oh.channels])
     value, diff = _ssd_core(fixed_oh.channels, warped, spacing)
     cot = diff * spacing * spacing
-    slopes = [bilinear_slopes(ch, geom) for ch in moving_oh.channels]
+    slopes = [bilinear_slopes(cell_differences(ch), geom) for ch in moving_oh.channels]
     du = np.stack([sum(c * s[0] for c, s in zip(cot, slopes)),
                    sum(c * s[1] for c, s in zip(cot, slopes))], axis=-1)
     return value, splat_to_grid(du, grid), geom
@@ -485,19 +487,26 @@ class TestLevelBuffers:
 
     @pytest.mark.parametrize("case", FORWARD_CASES)
     def test_shared_buffers_equal_fresh_ones(self, case):
+        """Every evaluation through one set of buffers equals a fresh one, also when
+        the one before it left other numbers behind: another grid, fixed image,
+        moving image, spacing or epsilon, so what they keep never goes stale."""
         fixed, moving, foh, moh, grid, w = _forward_case(case, 15)
         work = self._buffers(fixed, moh)
-        other = ControlGrid(grid.spacing_px, grid.coeffs[::-1].copy())
-        total_loss(fixed, moving, foh, moh, other, w, work=work)  # leave other numbers behind
-        full = total_loss(fixed, moving, foh, moh, grid, w, work=work)
-        rep = total_loss(fixed, moving, foh, moh, grid, w, with_grad=False, work=work)
-        rep.backward()
-        fresh = total_loss(fixed, moving, foh, moh, grid, w)
-        for r in (full, rep):
-            assert (r.d_value, r.r_value, r.b_value, r.total) == \
-                (fresh.d_value, fresh.r_value, fresh.b_value, fresh.total)
-            for name in ("grad_d", "grad_r", "grad_b", "grad_total"):
-                assert getattr(r, name).tobytes() == getattr(fresh, name).tobytes(), name
+        base = (fixed, moving, grid, w)
+        others = [(fixed, moving, ControlGrid(grid.spacing_px, grid.coeffs[::-1].copy()), w),
+                  (moving, moving, grid, w), (fixed, fixed, grid, w),
+                  (Image2D(fixed.data, 2.0), moving, grid, w),
+                  (fixed, moving, grid, replace(w, epsilon=0.5))]
+        for f, m, g, weights in [base] + [x for other in others for x in (other, base)]:
+            fresh = total_loss(f, m, foh, moh, g, weights)
+            full = total_loss(f, m, foh, moh, g, weights, work=work)
+            rep = total_loss(f, m, foh, moh, g, weights, with_grad=False, work=work)
+            rep.backward()
+            for r in (full, rep):
+                assert (r.d_value, r.r_value, r.b_value, r.total) == \
+                    (fresh.d_value, fresh.r_value, fresh.b_value, fresh.total)
+                for name in ("grad_d", "grad_r", "grad_b", "grad_total"):
+                    assert getattr(r, name).tobytes() == getattr(fresh, name).tobytes(), name
 
     @pytest.mark.parametrize("case", FORWARD_CASES)
     def test_stale_pullback_raises(self, case):

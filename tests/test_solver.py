@@ -20,7 +20,7 @@ from defreg import (
     make_pair,
     register,
 )
-from defreg import image, solver
+from defreg import image, lossterms, solver
 from defreg.bspline import deformation_quality, densify
 from defreg.image import Image2D, LabelMap
 
@@ -230,6 +230,24 @@ class TestOptimizerBehaviour:
             assert work.shape == (width, width) and work.channels == 4
         assert sorted(by_width) == [16, 32, 64]
         assert all(len(ids) == 1 for ids in by_width.values())
+
+    def test_fixed_gradient_taken_once_per_level(self, monkeypatch):
+        """The warped image's gradient is taken once per loss evaluation and the
+        fixed image's once per level, so a 3-level labelled run takes
+        ``loss_evals + 3`` gradients (``2 * loss_evals`` when each evaluation
+        took both)."""
+        calls = {"total_loss": 0, "central_gradient_raw": 0}
+        for module, name in ((solver, "total_loss"), (lossterms, "central_gradient_raw")):
+            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        pair = small_pair(seed=2, magnitude=2.0)
+        register(pair.fixed_image, pair.moving_image, pair.fixed_labels, pair.moving_labels,
+                 replace(FAST, max_iters_per_level=5))
+        assert FAST.num_levels == 3 and calls["total_loss"] > 3 * 5
+        assert calls["central_gradient_raw"] == calls["total_loss"] + 3
 
     def test_beta_ignored_without_labels(self):
         pair = small_pair(seed=6, magnitude=2.0)
