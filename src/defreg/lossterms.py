@@ -80,7 +80,7 @@ class LossReport:
         return self.grad_total
 
 
-_NGF_PLANES = 7  # gmx, gmy, the integrand, a, b and two scratch planes
+_NGF_PLANES = 6  # gmx, gmy, the integrand, a, b and a scratch plane
 
 
 class LevelBuffers:
@@ -179,7 +179,7 @@ def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float, work=None
     three sums that returns the gradient w.r.t. the warped intensity values.
 
     ``fixed_ngf`` is ``_fixed_ngf(fixed_data, spacing, epsilon)``, computed here
-    when None; everything else is written into ``work``, ``(7, h, w)`` planes
+    when None; everything else is written into ``work``, ``(6, h, w)`` planes
     (allocated when None). The pullback builds its result in place, so it runs once."""
     fixed_ngf = _fixed_ngf(fixed_data, spacing, epsilon) if fixed_ngf is None else fixed_ngf
     if work is None:
@@ -191,16 +191,13 @@ def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float, work=None
     value = 0.5 * sp2 * np.sum(integrand)
 
     def pullback() -> np.ndarray:
-        # d(value)/d gM_j = sp2 * (a^2 gM_j / b^2 - a gF_j / b) / c; gM_j becomes
-        # that cotangent q_j
-        aa = np.multiply(a, a, out=integrand)
-        bb = np.multiply(b, b, out=work[5])
+        # d(value)/d gM_j = sp2 * r * (r gM_j - gF_j) / c with r = a / b; gM_j
+        # becomes that cotangent q_j. Forming a^2 (about eps^4) would overflow
+        r = np.divide(a, b, out=a)
         for gm, gf in ((gmx, gfx), (gmy, gfy)):
-            q = np.multiply(aa, gm, out=gm)
-            q /= bb
-            second = np.multiply(a, gf, out=work[6])
-            second /= b
-            q -= second
+            q = np.multiply(r, gm, out=gm)
+            q -= gf
+            q *= r
             q *= sp2
             q /= c
         return gradient_adjoint(gmx, gmy, spacing, out=integrand)

@@ -540,23 +540,23 @@ def test_synth_bad_amplitude_exits_one_line(tmp_path, flag, value):
 
 
 def test_numerical_failure_exits_two(tmp_path):
-    """A non-finite loss (two images) or gradient norm (one image twice), run as a
-    process: exit 2 and one ``numerical error:`` line naming the level and
-    iteration, no traceback."""
+    """A non-finite loss (delta 1e308) or gradient norm (delta 1e300: the loss is
+    finite, the gradient's squares are not), run as a process: exit 2 and one
+    ``numerical error:`` line naming the level and iteration, no traceback."""
     rng = np.random.default_rng(0)
     for name in ("fixed", "moving"):
         regio.write_raw_image(tmp_path / f"{name}.raw", Image2D(rng.random((32, 32))))
-    for moving in ("moving.raw", "fixed.raw"):
+    for delta, what in (("1e308", "non-finite loss"), ("1e300", "non-finite gradient norm")):
         proc = subprocess.run([sys.executable, "-m", "defreg.cli", "register",
                                "--fixed", str(tmp_path / "fixed.raw"),
-                               "--moving", str(tmp_path / moving), "--out", str(tmp_path / "out"),
-                               "--delta", "1e308", "--levels", "2"],
+                               "--moving", str(tmp_path / "moving.raw"),
+                               "--out", str(tmp_path / "out"), "--delta", delta, "--levels", "2"],
                               env=_cli_env(), capture_output=True, text=True, timeout=120)
         assert "Traceback" not in proc.stderr, proc.stderr
         assert proc.returncode == 2, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical error:"), proc.stderr
-        assert "(level=1, iteration=0," in lines[0], proc.stderr
+        assert what in lines[0] and "(level=1, iteration=0," in lines[0], proc.stderr
 
 
 def test_largest_finite_control_spacing_registers_without_warning(tmp_path):

@@ -337,17 +337,34 @@ class TestValidation:
         from defreg.errors import NumericalError
 
         pair = small_pair()
-        cfg = RegistrationConfig(weights=LossWeights(delta=1e308), num_levels=2)
-        # different images: the loss overflows; the same image twice: the loss is 0,
-        # but the norm of the finite gradient overflows
-        for moving, match in ((pair.moving_image, "non-finite loss at level start"),
-                              (pair.fixed_image, "non-finite gradient norm")):
+        # delta=1e308: the loss overflows; delta=1e300: the loss is finite (D is at
+        # most 0.5 sp^2 per pixel), but the norm of the finite gradient overflows
+        for delta, match in ((1e308, "non-finite loss at level start"),
+                             (1e300, "non-finite gradient norm")):
+            cfg = RegistrationConfig(weights=LossWeights(delta=delta), num_levels=2)
             with pytest.raises(NumericalError, match=match) as info:
-                register(pair.fixed_image, moving, cfg=cfg)
+                register(pair.fixed_image, pair.moving_image, cfg=cfg)
             assert info.value.level == cfg.num_levels - 1  # the coarsest level runs first
             assert info.value.iteration == 0
             # an unlabelled run's loss has no B term, and the error names the weights used
             assert info.value.weights["beta"] == 0.0
+
+    def test_largest_epsilon_keeps_gradient_finite(self):
+        """At an epsilon near the largest accepted (1.15e77), on 32 px images of
+        0-255 intensities, the run ends with finite losses and no numpy warning:
+        the NGF pullback forms a / b, not a^2 (about epsilon^4) times the image
+        gradient, which overflowed. (NGF is inert at such an epsilon, so each
+        level stops at its first line search, as it does at 1e70.)"""
+        s = 32 / 112.0
+        spec = PhantomSpec(width=32, height=32, center=(62.0 * s, 56.0 * s), lv_radius=13.0 * s,
+                           myo_outer_radius=22.0 * s, rv_thickness=8.0 * s)
+        pair = make_pair(spec, deform_magnitude_px=1.0, seed=0)
+        fixed, moving = (Image2D(255.0 * im.data) for im in (pair.fixed_image, pair.moving_image))
+        cfg = RegistrationConfig(weights=LossWeights(epsilon=1e77), num_levels=2,
+                                 max_iters_per_level=5)
+        res = register(fixed, moving, cfg=cfg)
+        assert len(res.level_traces) == 2
+        assert all(np.isfinite(t.losses).all() for t in res.level_traces)
 
 
 @pytest.fixture(scope="module")
