@@ -18,12 +18,13 @@ configuration, each after one warm-up pair that is not reported:
 Each pair prints one line: the suite, the pair's seed, ``getrusage``
 ``ru_minflt`` and the user and system CPU seconds of its ``register`` call.
 Each suite then prints its mean. Fault counts depend on the code, the C
-library and the interpreter's memory layout, not on timing. The layout
-follows the string hash seed, so when ``PYTHONHASHSEED`` is unset the tool
-re-runs itself with ``PYTHONHASHSEED=0``. Runs then repeat to within a few
-faults per pair, so a parent and a change compare by one run each:
-
-    diff <(python3 tools/faults_per_pair.py A) <(python3 tools/faults_per_pair.py B)
+library, the interpreter's memory layout and the state of the machine. The
+layout follows the string hash seed, so when ``PYTHONHASHSEED`` is unset the
+tool re-runs itself with ``PYTHONHASHSEED=0``. Even so, runs do not repeat:
+within one hour one checkout read a ``labelled112`` mean of 752, then 1,206,
+faults per pair. So one run per checkout tells nothing about a change.
+Compare a parent and a change by several runs of each, interleaved in a fixed
+order (A, B, B, A, ...), and compare the spread of each side's means.
 """
 
 from __future__ import annotations
