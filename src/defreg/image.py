@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -302,7 +303,7 @@ def bilinear_slopes(diffs, g: SampleGeometry, out=None, scratch=None):
     t = np.empty(ddx.shape) if scratch is None else scratch
 
     def take(d, offset, dst):  # d[..., offset + i00] into dst, as _corners reads
-        for k in np.ndindex(d.shape[:-1]):
+        for k in itertools.product(*map(range, d.shape[:-1])):  # np.ndindex costs ~1.5 us
             d[k][offset:].take(g.i00, out=dst[(*k, ...)], mode="clip")
         return dst
     np.multiply(take(dx, 0, ddx), g.gy, out=ddx)
