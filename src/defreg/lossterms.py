@@ -85,8 +85,9 @@ _NGF_PLANES = 6  # gmx, gmy, the integrand, a, b and a scratch plane
 
 class LevelBuffers:
     """Every array one :func:`total_loss` evaluation writes, and the pixel
-    positions and image constants it reads, for a level of ``shape`` (h, w) with
-    ``channels`` one-hot channels (0 without labels), each allocated once, here.
+    positions it reads, for a level of ``shape`` (h, w) with ``channels`` one-hot
+    channels (0 without labels), each allocated once, here; and the arrays that
+    depend only on the level's images, kept by :meth:`image_constants`.
 
     The solver builds one set per pyramid level and passes it to each
     evaluation, so an evaluation allocates no image-sized array. A report's
@@ -108,7 +109,7 @@ class LevelBuffers:
         # the displacement, then the sample positions, then the image's slopes
         self.coords = np.empty((2, h, w))
         self.geom = SampleGeometry(self.shape, self.shape)
-        self.corners = np.empty((4, h, w))  # then the warped image, then the slopes' scratch
+        self.corners = np.empty((4, h, w))  # corners, then the warped image, then scratch
         self.ngf = np.empty((_NGF_PLANES, h, w))
         self._constants = None  # the inputs and results of image_constants
         self.force = np.empty((h, w, 2))  # D's per-pixel cotangent of the displacement
