@@ -134,15 +134,15 @@ class LevelBuffers:
         kept = self._constants
         if (kept is None or kept[0] is not fixed.data or kept[1] is not moving.data
                 or kept[2:4] != (fixed.spacing, epsilon)):
+            fixed_ngf = _fixed_ngf(*central_gradient_raw(fixed.data, fixed.spacing), epsilon)
             kept = self._constants = (fixed.data, moving.data, fixed.spacing, epsilon,
-                                      _fixed_ngf(fixed.data, fixed.spacing, epsilon),
-                                      cell_differences(moving.data))
+                                      fixed_ngf, cell_differences(moving.data))
         return kept[4:]
 
 
-def _fixed_ngf(fixed_data, spacing: float, epsilon: float):
-    """The NGF planes of the fixed image alone: gfx, gfy and c = |gF|^2 + eps^2."""
-    gfx, gfy = central_gradient_raw(fixed_data, spacing)
+def _fixed_ngf(gfx, gfy, epsilon: float):
+    """The NGF planes of the fixed image alone: its gradient gfx, gfy and
+    c = |gF|^2 + eps^2."""
     return gfx, gfy, gfx * gfx + gfy * gfy + epsilon * epsilon
 
 
@@ -170,8 +170,7 @@ def _ngf_terms(gfx, gfy, c, gmx, gmy, epsilon: float, out=None):
 
 def ngf_integrand(gfx, gfy, gmx, gmy, epsilon: float):
     """Pointwise NGF integrand 1 - <gM,gF>_eps^2 / (|gM|_eps^2 |gF|_eps^2), in [0,1]."""
-    c = gfx * gfx + gfy * gfy + epsilon * epsilon
-    return _ngf_terms(gfx, gfy, c, gmx, gmy, epsilon)[0]
+    return _ngf_terms(*_fixed_ngf(gfx, gfy, epsilon), gmx, gmy, epsilon)[0]
 
 
 def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float, work=None,
@@ -179,10 +178,11 @@ def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float, work=None
     """NGF value and its pullback: a closure over the image gradients and the
     three sums that returns the gradient w.r.t. the warped intensity values.
 
-    ``fixed_ngf`` is ``_fixed_ngf(fixed_data, spacing, epsilon)``, computed here
+    ``fixed_ngf`` is :func:`_fixed_ngf` of the fixed image's gradient, computed here
     when None; everything else is written into ``work``, ``(6, h, w)`` planes
     (allocated when None). The pullback builds its result in place, so it runs once."""
-    fixed_ngf = _fixed_ngf(fixed_data, spacing, epsilon) if fixed_ngf is None else fixed_ngf
+    if fixed_ngf is None:
+        fixed_ngf = _fixed_ngf(*central_gradient_raw(fixed_data, spacing), epsilon)
     if work is None:
         work = np.empty((_NGF_PLANES, *warped_data.shape))
     gfx, gfy, c = fixed_ngf

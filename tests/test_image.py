@@ -447,9 +447,10 @@ class TestOneHotCells:
 
     def test_arrays_read_only_and_built_once(self):
         stack = to_one_hot(LabelMap(np.eye(4, dtype=int), num_classes=2))
-        for name in ("channels", "cell_labels", "label_sq_distances"):
+        for name in ("channels", "cell_labels", "label_sq_distances", "cell_differences"):
             arr = getattr(stack, name)
-            assert not arr.flags.writeable, name
+            for a in arr if isinstance(arr, tuple) else (arr,):  # the differences are a pair
+                assert not a.flags.writeable, name
             assert getattr(stack, name) is arr, name
         with pytest.raises(AttributeError):
             stack.channels = np.zeros((2, 4, 4))
