@@ -201,7 +201,8 @@ class SampleGeometry:
         # gx and gy hold the clamped coordinates until the masks are built
         cx = np.minimum(np.maximum(px, 0.0, out=self.gx), w - 1.0, out=self.gx)
         cy = np.minimum(np.maximum(py, 0.0, out=self.gy), h - 1.0, out=self.gy)
-        # clamping x0 to w-2 and y0 to h-2 keeps every corner on the grid. fx and
+        # clamping x0 to w-2 and y0 to h-2 keeps every corner on the grid, so i00
+        # lies in [0, h*w - w - 2] and take(mode="clip") clips nothing. fx and
         # fy hold x0 and y0 as floats, which they are exactly; the integer copies
         # are made by copyto, since a ufunc mixing int and float operands casts
         # through a 64 KiB buffer
@@ -213,10 +214,6 @@ class SampleGeometry:
         i00 += x0
         np.subtract(cx, x0f, out=self.fx)
         np.subtract(cy, y0f, out=self.fy)
-        # the samplers read corners with take(mode="clip"), which does not raise
-        # on a bad index, so the range is checked here, once per geometry
-        if i00.size and (i00.min() < 0 or i00.max() > h * w - w - 2):
-            raise DomainError("sample cell index out of range")
         # a finite coordinate lies in the domain exactly when clamping kept it
         np.equal(cx, px, out=in_x)
         np.equal(cy, py, out=in_y)
@@ -243,7 +240,7 @@ def _corners(data: np.ndarray, g: SampleGeometry, out=None):
 
     The three other corners are read from offset views of the flat data at
     ``i00``. ``take`` writes into a contiguous ``out`` in place with
-    ``mode="clip"``; ``i00`` is range-checked by the geometry, so nothing is clipped."""
+    ``mode="clip"``; the geometry's clamp keeps ``i00`` in range, so nothing is clipped."""
     if data.shape != g.shape:
         raise DomainError(f"sampled data {data.shape} does not match the geometry {g.shape}")
     if out is None:

@@ -173,16 +173,13 @@ def ngf_integrand(gfx, gfy, gmx, gmy, epsilon: float):
     return _ngf_terms(*_fixed_ngf(gfx, gfy, epsilon), gmx, gmy, epsilon)[0]
 
 
-def _ngf_core(fixed_data, warped_data, spacing: float, epsilon: float, work=None,
-              fixed_ngf=None):
+def _ngf_core(fixed_ngf, warped_data, spacing: float, epsilon: float, work=None):
     """NGF value and its pullback: a closure over the image gradients and the
     three sums that returns the gradient w.r.t. the warped intensity values.
 
-    ``fixed_ngf`` is :func:`_fixed_ngf` of the fixed image's gradient, computed here
-    when None; everything else is written into ``work``, ``(6, h, w)`` planes
-    (allocated when None). The pullback builds its result in place, so it runs once."""
-    if fixed_ngf is None:
-        fixed_ngf = _fixed_ngf(*central_gradient_raw(fixed_data, spacing), epsilon)
+    ``fixed_ngf`` is :func:`_fixed_ngf` of the fixed image's gradient; everything
+    else is written into ``work``, ``(6, h, w)`` planes (allocated when None).
+    The pullback builds its result in place, so it runs once."""
     if work is None:
         work = np.empty((_NGF_PLANES, *warped_data.shape))
     gfx, gfy, c = fixed_ngf
@@ -318,8 +315,8 @@ def total_loss(fixed: Image2D, moving: Image2D,
         fixed_ngf, moving_diffs = work.image_constants(fixed, moving, w.epsilon)
         warped = bilinear_sample_with_grad(moving.data, geom, out=work.corners[0],
                                            corners=work.corners)
-        d_value, ngf_pullback = _ngf_core(fixed.data, warped, fixed.spacing, w.epsilon,
-                                          work=work.ngf, fixed_ngf=fixed_ngf)
+        d_value, ngf_pullback = _ngf_core(fixed_ngf, warped, fixed.spacing, w.epsilon,
+                                          work=work.ngf)
 
     r_value, grad_r = curvature(grid, fixed.width, fixed.height, fixed.spacing)
 

@@ -116,9 +116,11 @@ class TestGeometry:
     H, W = 5, 7
 
     def setup_method(self):
-        # exact 0 and n-1, inside, on a cell edge and beyond both ends, per axis
-        xs = np.array([0.0, 2.0, 3.25, self.W - 1.5, self.W - 1.0, -0.5, self.W + 0.7])
-        ys = np.array([0.0, 1.75, self.H - 1.0, -2.0, self.H + 3.5])
+        # exact 0 and n-1, inside, on a cell edge, beyond both ends and at +-1e300,
+        # per axis: the clamp alone keeps every cell on the grid
+        xs = np.array([0.0, 2.0, 3.25, self.W - 1.5, self.W - 1.0, -0.5, self.W + 0.7,
+                       -1e300, 1e300])
+        ys = np.array([0.0, 1.75, self.H - 1.0, -2.0, self.H + 3.5, -1e300, 1e300])
         self.px, self.py = np.meshgrid(xs, ys)
         self.geom = SampleGeometry((self.H, self.W), self.px.shape).fill(self.px, self.py)
         self.stack = np.random.default_rng(11).random((3, self.H, self.W))
@@ -135,6 +137,7 @@ class TestGeometry:
 
     def test_corners_equal_brute_force_gather(self):
         data = self.stack[0]
+        assert 0 <= self.geom.i00.min() and self.geom.i00.max() == self.H * self.W - self.W - 2
         for got, ref in zip(_corners(data, self.geom), self.brute_force_corners(data),
                             strict=True):
             np.testing.assert_array_equal(got, ref)

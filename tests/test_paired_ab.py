@@ -1,21 +1,49 @@
-"""Smoke test of ``tools/paired_ab.py``: a checkout against itself."""
+"""Tests of ``tools/paired_ab.py``: a checkout against itself, and its usage errors."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "paired_ab.py"
 
 
 def test_checkout_against_itself():
     """Two rounds of one pair each: every run gives the same digest, the report
-    has both sides' quartiles and a verdict, and the exit code is 0."""
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "paired_ab.py"), str(ROOT),
-                           str(ROOT), "--workload", "weak64", "--rounds", "2", "--pairs", "1",
-                           "--seed", "3"], capture_output=True, text=True, timeout=600)
+    gives both sides' medians and a verdict for each measure, which cannot be a
+    gain from fewer than nine wins, and the exit code is 0."""
+    proc = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload",
+                           "weak64", "--rounds", "2", "--pairs", "1", "--seed", "3"],
+                          capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines if line.startswith("round ")] == ["round"] * 2
-    assert sum(line.startswith(("parent: median", "change: median")) for line in lines) == 2
-    assert "outputs: identical" in lines
-    assert lines[-1] in ("verdict: gain", "verdict: unresolved")
+    for name in ("wall time (s)", "minor faults", "CPU time (s)"):
+        for side in ("parent", "change"):
+            assert sum(line.startswith(f"{name}: {side} median ") for line in lines) == 1
+        verdicts = [line for line in lines if line.startswith(f"{name}: change lower in ")]
+        assert len(verdicts) == 1
+        assert verdicts[0].endswith("verdict unresolved")
+    assert lines[-1] == "outputs: identical"
+
+
+@pytest.mark.parametrize("flags", [("--pairs", "0"), ("--pairs", "-1"), ("--seed", "-1")])
+def test_bad_count_is_a_usage_error(flags, monkeypatch, capsys):
+    """Exit 2 with one line on stderr, before any child starts."""
+    spec = importlib.util.spec_from_file_location("paired_ab", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def no_child(*args, **kwargs):
+        raise AssertionError("a child was started")
+
+    monkeypatch.setattr(tool.subprocess, "run", no_child)
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main([str(ROOT), str(ROOT), "--workload", "weak64", *flags])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error:" in err

@@ -1,24 +1,31 @@
 #!/usr/bin/env python3
-"""Paired A/B timing of two defreg checkouts on one benchmark workload.
+"""Paired A/B runs of two defreg checkouts on one benchmark workload: wall time,
+minor page faults and CPU time per pair.
 
     python3 tools/paired_ab.py PARENT CHANGE --workload W [--rounds 10] [--seed S] [--pairs N]
 
 ``PARENT`` and ``CHANGE`` are the roots of two checkouts. Each round runs each
-checkout once in a fresh interpreter, alternating which of them runs first. A
-run imports its checkout's ``src/defreg`` and the benchmark inputs
-(``make_cases``) from its ``perfbench/run.py``, as ``tools/output_digest.py``
-does. It registers one warm-up pair, then the workload's pairs in process with
-the default configuration (``batch_cli``'s pairs too, without the CLI), and
-prints each pair's seconds and one sha256 over the pairs' grids and loss traces.
+checkout once in a fresh interpreter, alternating which runs first. A run
+imports its checkout's ``src/defreg`` and ``make_cases`` from its
+``perfbench/run.py``, registers one warm-up pair, then the workload's pairs in
+process with the default configuration (``batch_cli``'s without the CLI). It
+prints each pair's wall seconds, ``getrusage`` minor faults (``ru_minflt``) and
+user plus system CPU seconds, and one sha256 over the grids and loss traces.
 
-A side's time in a round is the median of its pairs' seconds, as the
-benchmark's ``pair_s_p50``. The report gives each side's median and quartiles
-over the rounds, the rounds the change won (a tie counts for neither side), the
-median of the per-round ratios change/parent, and whether every run gave the
-same digest. Its verdict is ``gain`` only when the change won at least nine
-tenths of the rounds and its median is below the parent's by more than the
-parent's interquartile range; otherwise it is ``unresolved``. The exit code is
-0 when every run succeeded, 1 when one failed and 2 on a usage error.
+A side's value in a round is the median over its pairs, as the benchmark's
+``pair_s_p50``. For each measure the report gives each side's median and
+quartiles over the rounds, the rounds where the change's value was lower (a tie
+counts for neither side), the median of the per-round ratios change/parent
+(over rounds where the parent's is not 0), and a verdict: ``gain`` only when
+the change was lower in at least nine rounds and nine tenths of them and its
+median is below the parent's by more than the parent's interquartile range,
+otherwise ``unresolved``. Last it says whether every run gave the same digest.
+
+Fault counts follow the memory layout, which follows the string hash seed
+(children inherit the caller's environment; set ``PYTHONHASHSEED`` to fix it)
+and the checkout's path, so give both checkouts paths of one length. The exit
+code is 0 when every run succeeded, 1 when one failed and 2, with one line, on
+a usage error.
 """
 
 from __future__ import annotations
@@ -27,15 +34,20 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import resource
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+# the measures a run reports per pair: key, name in the report, number format
+MEASURES = (("seconds", "wall time (s)", ".4f"), ("faults", "minor faults", ".1f"),
+            ("cpu", "CPU time (s)", ".4f"))
+
 
 def run_checkout(root: Path, workload: str, seed: int, pairs: int | None) -> dict:
-    """In a fresh interpreter: time the workload's pairs with ``root``'s defreg."""
+    """In a fresh interpreter: measure the workload's pairs with ``root``'s defreg."""
     sys.path.insert(0, str(root / "src"))
     import defreg
     from defreg import RegistrationConfig, register
@@ -47,23 +59,25 @@ def run_checkout(root: Path, workload: str, seed: int, pairs: int | None) -> dic
     spec.loader.exec_module(bench)  # its dataclasses look their module up by name
     cases = bench.make_cases(workload, seed, bench.DEFAULT_SIZE[workload],
                              pairs or bench.DEFAULT_PAIRS[workload])
-    cfg = RegistrationConfig()
-    warm = cases[0]
+    cfg, warm = RegistrationConfig(), cases[0]
     register(warm.fixed, warm.moving, warm.sup_fixed, warm.sup_moving, cfg)
-    digest, seconds = hashlib.sha256(), []
+    digest, out = hashlib.sha256(), {key: [] for key, _, _ in MEASURES}
     for case in cases:
-        start = time.perf_counter()
+        before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
         res = register(case.fixed, case.moving, case.sup_fixed, case.sup_moving, cfg)
-        seconds.append(time.perf_counter() - start)
+        out["seconds"].append(time.perf_counter() - start)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        out["faults"].append(after.ru_minflt - before.ru_minflt)
+        out["cpu"].append(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
         digest.update(res.grid.coeffs.tobytes())
         digest.update(repr([t.losses for t in res.level_traces]).encode())
-    return {"seconds": seconds, "sha256": digest.hexdigest()}
+    return {**out, "sha256": digest.hexdigest()}
 
 
 def run_side(root: Path, args) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--run", str(root),
            "--workload", args.workload, "--seed", str(args.seed)]
-    if args.pairs:
+    if args.pairs is not None:
         cmd += ["--pairs", str(args.pairs)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -71,19 +85,30 @@ def run_side(root: Path, args) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def summary(name: str, times: list) -> float:
-    """Print a side's median and quartiles; return its interquartile range."""
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    print(f"{name}: median {median:.4f} s, quartiles {q1:.4f}-{q3:.4f} s (IQR {q3 - q1:.4f} s)")
-    return q3 - q1
+def report(name: str, fmt: str, parent: list, change: list) -> None:
+    """Print one measure's quartiles per side, the change's wins, the median
+    ratio and the verdict."""
+    iqr = {}
+    for side, values in (("parent", parent), ("change", change)):
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        iqr[side] = q3 - q1
+        print(f"{name}: {side} median {median:{fmt}}, quartiles {q1:{fmt}}-{q3:{fmt}} "
+              f"(IQR {q3 - q1:{fmt}})")
+    wins = sum(c < p for p, c in zip(parent, change))
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    ratio = f"{statistics.median(ratios):.3f}" if ratios else "undefined"
+    gap = statistics.median(parent) - statistics.median(change)
+    gain = wins >= max(9, 0.9 * len(parent)) and gap > iqr["parent"]
+    print(f"{name}: change lower in {wins} of {len(parent)} rounds, median ratio "
+          f"change/parent {ratio}, verdict {'gain' if gain else 'unresolved'}")
 
 
 def compare(args) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    times = {"parent": [], "change": []}
+    rounds = {key: {"parent": [], "change": []} for key, _, _ in MEASURES}
     digests = set()
     print(f"workload {args.workload}, seed {args.seed}, {args.rounds} rounds; a round's "
-          "time is the median seconds per pair", flush=True)
+          "value is the median per pair", flush=True)
     for r in range(args.rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
@@ -92,25 +117,27 @@ def compare(args) -> int:
             except RuntimeError as exc:
                 print(exc, file=sys.stderr)
                 return 1
-            times[side].append(statistics.median(out["seconds"]))
+            for key, values in rounds.items():
+                values[side].append(statistics.median(out[key]))
             digests.add(out["sha256"])
-        print(f"round {r + 1} ({order[0]} first): parent {times['parent'][-1]:.4f} s, "
-              f"change {times['change'][-1]:.4f} s", flush=True)
-    parent_iqr = summary("parent", times["parent"])
-    summary("change", times["change"])
-    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    ratio = statistics.median(c / p for p, c in zip(times["parent"], times["change"]))
-    print(f"change faster in {wins} of {args.rounds} rounds; "
-          f"median ratio change/parent {ratio:.3f}")
+        print(f"round {r + 1} ({order[0]} first), parent -> change: " + "; ".join(
+            f"{name} {rounds[key]['parent'][-1]:{fmt}} -> {rounds[key]['change'][-1]:{fmt}}"
+            for key, name, fmt in MEASURES), flush=True)
+    for key, name, fmt in MEASURES:
+        report(name, fmt, rounds[key]["parent"], rounds[key]["change"])
     print("outputs: " + ("identical" if len(digests) == 1 else "differ"))
-    gap = statistics.median(times["parent"]) - statistics.median(times["change"])
-    gain = wins >= 0.9 * args.rounds and gap > parent_iqr
-    print("verdict: " + ("gain" if gain else "unresolved"))
     return 0
 
 
+class Parser(argparse.ArgumentParser):
+    """A usage error prints one line and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p = Parser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path, nargs="?")
     p.add_argument("change", type=Path, nargs="?")
     p.add_argument("--workload", required=True, choices=("recovery112", "weak64", "batch_cli"))
@@ -119,11 +146,13 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, default=None, help="pairs per run (the workload's)")
     p.add_argument("--run", type=Path, help=argparse.SUPPRESS)  # one side, in a child
     args = p.parse_args(argv)
+    if args.rounds < 2 or args.seed < 0 or (args.pairs is not None and args.pairs < 1):
+        p.error("give at least 2 rounds, a seed of at least 0 and at least 1 pair")
     if args.run is not None:
         print(json.dumps(run_checkout(args.run.resolve(), args.workload, args.seed, args.pairs)))
         return 0
-    if args.parent is None or args.change is None or args.rounds < 2:
-        p.error("give PARENT and CHANGE, and at least 2 rounds")
+    if args.parent is None or args.change is None:
+        p.error("give PARENT and CHANGE")
     for root in (args.parent, args.change):
         if not (root / "src" / "defreg").is_dir() or not (root / "perfbench" / "run.py").is_file():
             p.error(f"{root} is not the root of a defreg checkout")
