@@ -40,22 +40,40 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Image2D:
-    """Scalar intensity field on a pixel grid."""
+    """Scalar intensity field on a pixel grid. Immutable, like :class:`OneHotStack`:
+    the data is a read-only copy, so the read-only arrays derived from it on first
+    use (the properties below) never go stale. They live and die with the image."""
 
     data: np.ndarray
     spacing: float = 1.0
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise DomainError(f"image data must be 2D, got shape {self.data.shape}")
-        if self.data.shape[0] < 1 or self.data.shape[1] < 1:
-            raise DomainError(f"image must be non-empty, got {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
+        data = np.array(self.data, dtype=np.float64)
+        if data.ndim != 2:
+            raise DomainError(f"image data must be 2D, got shape {data.shape}")
+        if data.shape[0] < 1 or data.shape[1] < 1:
+            raise DomainError(f"image must be non-empty, got {data.shape}")
+        if not np.all(np.isfinite(data)):
             raise DomainError("image intensities must be finite")
         check_real(self.spacing, "spacing", TINY, HUGE, DomainError)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    @cached_property
+    def gradient(self):
+        """The :func:`central_gradient_raw` planes gx, gy and their squared norm
+        ``gx * gx + gy * gy``, which NGF reads from the fixed image."""
+        gx, gy = central_gradient_raw(self.data, self.spacing)
+        norm = gx * gx + gy * gy
+        gx.flags.writeable = gy.flags.writeable = norm.flags.writeable = False
+        return gx, gy, norm
+
+    @cached_property
+    def cell_differences(self):
+        """The data's :func:`cell_differences`, which :func:`bilinear_slopes` reads."""
+        return cell_differences(self.data)
 
     @property
     def width(self) -> int:
@@ -99,11 +117,7 @@ class LabelMap:
 @dataclass(frozen=True, eq=False)
 class OneHotStack:
     """K scalar channels over one pixel grid; channels from a LabelMap are binary.
-
-    Immutable: the channels are a read-only copy, so the read-only arrays derived
-    from them on first use (the properties below) never go stale. They live and
-    die with the stack.
-    """
+    Immutable, and its derived arrays read-only and built on first use, as an :class:`Image2D`'s."""
 
     channels: np.ndarray  # (K, H, W)
 
@@ -111,6 +125,8 @@ class OneHotStack:
         channels = np.array(self.channels, dtype=np.float64)
         if channels.ndim != 3:
             raise DomainError(f"one-hot stack must be (K, H, W), got {channels.shape}")
+        if not np.all(np.isfinite(channels)):
+            raise DomainError("one-hot channels must be finite")
         channels.flags.writeable = False
         object.__setattr__(self, "channels", channels)
 

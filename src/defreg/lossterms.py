@@ -34,7 +34,6 @@ from .image import (
     SampleGeometry,
     bilinear_sample_with_grad,
     bilinear_slopes,
-    cell_differences,
     central_gradient_raw,
     gradient_adjoint,
 )
@@ -86,8 +85,8 @@ _NGF_PLANES = 6  # gmx, gmy, the integrand, a, b and a scratch plane
 class LevelBuffers:
     """Every array one :func:`total_loss` evaluation writes, and the pixel
     positions it reads, for a level of ``shape`` (h, w) with ``channels`` one-hot
-    channels (0 without labels), each allocated once, here; and the arrays that
-    depend only on the level's images, kept by :meth:`image_constants`.
+    channels (0 without labels), each allocated once, here. They hold nothing
+    that depends on an input, so they serve any inputs of their shape.
 
     The solver builds one set per pyramid level and passes it to each
     evaluation, so an evaluation allocates no image-sized array. A report's
@@ -110,8 +109,8 @@ class LevelBuffers:
         self.coords = np.empty((2, h, w))
         self.geom = SampleGeometry(self.shape, self.shape)
         self.corners = np.empty((4, h, w))  # corners, then the warped image, then scratch
+        self.c = np.empty((h, w))  # the fixed image's |gF|^2 + eps^2
         self.ngf = np.empty((_NGF_PLANES, h, w))
-        self._constants = None  # the inputs and results of image_constants
         self.force = np.empty((h, w, 2))  # D's per-pixel cotangent of the displacement
         if channels:
             self.cells = np.empty(n, dtype=np.intp)
@@ -126,24 +125,6 @@ class LevelBuffers:
             self.band_slopes = np.empty((3, channels * n))
             self.band_corners = np.empty((4, n))
             self.band_force = np.empty((h, w, 2))  # B's, zero off the band
-
-    def image_constants(self, fixed: Image2D, moving: Image2D, epsilon: float):
-        """The fixed image's :func:`_fixed_ngf` planes and the moving image's
-        :func:`cell_differences`, computed again whenever the image arrays (by
-        identity, not content), the spacing or epsilon differ from the last call's."""
-        kept = self._constants
-        if (kept is None or kept[0] is not fixed.data or kept[1] is not moving.data
-                or kept[2:4] != (fixed.spacing, epsilon)):
-            fixed_ngf = _fixed_ngf(*central_gradient_raw(fixed.data, fixed.spacing), epsilon)
-            kept = self._constants = (fixed.data, moving.data, fixed.spacing, epsilon,
-                                      fixed_ngf, cell_differences(moving.data))
-        return kept[4:]
-
-
-def _fixed_ngf(gfx, gfy, epsilon: float):
-    """The NGF planes of the fixed image alone: its gradient gfx, gfy and
-    c = |gF|^2 + eps^2."""
-    return gfx, gfy, gfx * gfx + gfy * gfy + epsilon * epsilon
 
 
 def _ngf_terms(gfx, gfy, c, gmx, gmy, epsilon: float, out=None):
@@ -170,15 +151,15 @@ def _ngf_terms(gfx, gfy, c, gmx, gmy, epsilon: float, out=None):
 
 def ngf_integrand(gfx, gfy, gmx, gmy, epsilon: float):
     """Pointwise NGF integrand 1 - <gM,gF>_eps^2 / (|gM|_eps^2 |gF|_eps^2), in [0,1]."""
-    return _ngf_terms(*_fixed_ngf(gfx, gfy, epsilon), gmx, gmy, epsilon)[0]
+    return _ngf_terms(gfx, gfy, gfx * gfx + gfy * gfy + epsilon * epsilon, gmx, gmy, epsilon)[0]
 
 
 def _ngf_core(fixed_ngf, warped_data, spacing: float, epsilon: float, work=None):
     """NGF value and its pullback: a closure over the image gradients and the
     three sums that returns the gradient w.r.t. the warped intensity values.
 
-    ``fixed_ngf`` is :func:`_fixed_ngf` of the fixed image's gradient; everything
-    else is written into ``work``, ``(6, h, w)`` planes (allocated when None).
+    ``fixed_ngf`` holds the fixed image's gradient gfx, gfy and c = |gF|^2 + eps^2;
+    everything else is written into ``work``, ``(6, h, w)`` planes (allocated when None).
     The pullback builds its result in place, so it runs once."""
     if work is None:
         work = np.empty((_NGF_PLANES, *warped_data.shape))
@@ -253,7 +234,7 @@ def total_loss(fixed: Image2D, moving: Image2D,
     Every image-sized array is written into ``work``, a :class:`LevelBuffers`
     for this level; without one, the call makes its own. A report made through
     shared buffers must run its backward pass before the next evaluation
-    through them, which also keep what depends only on the images.
+    through them. What depends on one image or stack alone is its property.
 
     B is exact but narrow-band: one integer gather of ``moving_oh.cell_labels``
     at the samples' cells finds the pixels whose sample is a one-hot vector
@@ -312,10 +293,11 @@ def total_loss(fixed: Image2D, moving: Image2D,
     d_value = 0.0
     ngf_pullback = None
     if w.delta != 0.0:
-        fixed_ngf, moving_diffs = work.image_constants(fixed, moving, w.epsilon)
+        gfx, gfy, gf2 = fixed.gradient
+        c = np.add(gf2, w.epsilon * w.epsilon, out=work.c)
         warped = bilinear_sample_with_grad(moving.data, geom, out=work.corners[0],
                                            corners=work.corners)
-        d_value, ngf_pullback = _ngf_core(fixed_ngf, warped, fixed.spacing, w.epsilon,
+        d_value, ngf_pullback = _ngf_core((gfx, gfy, c), warped, fixed.spacing, w.epsilon,
                                           work=work.ngf)
 
     r_value, grad_r = curvature(grid, fixed.width, fixed.height, fixed.spacing)
@@ -329,7 +311,7 @@ def total_loss(fixed: Image2D, moving: Image2D,
         grad_b = np.zeros_like(grid.coeffs)
         if ngf_pullback is not None:
             d_grad_warped = ngf_pullback()
-            dmx, dmy = bilinear_slopes(moving_diffs, geom, out=work.coords,
+            dmx, dmy = bilinear_slopes(moving.cell_differences, geom, out=work.coords,
                                        scratch=work.corners[0])
             np.multiply(d_grad_warped, dmx, out=work.force[..., 0])
             np.multiply(d_grad_warped, dmy, out=work.force[..., 1])

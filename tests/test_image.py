@@ -448,22 +448,46 @@ class TestOneHotCells:
                 assert table[label, p] == pytest.approx(expected, rel=1e-15)
         assert np.all(table[3] == 0.0)
 
-    def test_arrays_read_only_and_built_once(self):
-        stack = to_one_hot(LabelMap(np.eye(4, dtype=int), num_classes=2))
-        for name in ("channels", "cell_labels", "label_sq_distances", "cell_differences"):
-            arr = getattr(stack, name)
-            for a in arr if isinstance(arr, tuple) else (arr,):  # the differences are a pair
-                assert not a.flags.writeable, name
-            assert getattr(stack, name) is arr, name
-        with pytest.raises(AttributeError):
-            stack.channels = np.zeros((2, 4, 4))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_channels_rejected(self, value):
+        """A non-finite channel would make the loss and its gradient non-finite."""
+        channels = np.zeros((3, 12, 12))
+        channels[1, 4, 7] = value
+        with pytest.raises(DomainError, match="finite"):
+            OneHotStack(channels)
 
-    def test_channels_are_a_copy(self):
-        channels = np.zeros((2, 3, 3))
-        stack = OneHotStack(channels)
-        channels[0] = 1.0
-        assert np.all(stack.channels == 0.0)
-        assert channels.flags.writeable
+
+# each immutable container: a factory from its array, the array's field and the
+# arrays it derives from it on first use
+IMMUTABLE = {
+    "OneHotStack": (OneHotStack, "channels",
+                    ("cell_labels", "label_sq_distances", "cell_differences")),
+    "Image2D": (Image2D, "data", ("gradient", "cell_differences")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(IMMUTABLE))
+def test_arrays_read_only_and_built_once(kind):
+    make, field, derived = IMMUTABLE[kind]
+    labels = to_one_hot(LabelMap(np.eye(4, dtype=int), num_classes=2)).channels
+    obj = make(labels if kind == "OneHotStack" else labels[1])
+    for name in (field, *derived):
+        arr = getattr(obj, name)
+        for a in arr if isinstance(arr, tuple) else (arr,):  # differences and gradient
+            assert not a.flags.writeable, name
+        assert getattr(obj, name) is arr, name
+    with pytest.raises(AttributeError):
+        setattr(obj, field, np.zeros_like(getattr(obj, field)))
+
+
+@pytest.mark.parametrize("kind", sorted(IMMUTABLE))
+def test_channels_are_a_copy(kind):
+    make, field, _ = IMMUTABLE[kind]
+    array = np.zeros((2, 3, 3)) if kind == "OneHotStack" else np.zeros((3, 3))
+    obj = make(array)
+    array[0] = 1.0
+    assert np.all(getattr(obj, field) == 0.0)
+    assert array.flags.writeable
 
 
 CONTAINERS = {

@@ -37,7 +37,7 @@ from defreg.image import (
     cell_differences,
     central_gradient_raw,
 )
-from defreg.lossterms import LevelBuffers, _fixed_ngf, _ngf_core, _ssd_core, ngf_integrand
+from defreg.lossterms import LevelBuffers, _ngf_core, _ssd_core, ngf_integrand
 from defreg.phantom import PhantomSpec, make_pair
 from defreg.solver import _build_onehot_pyramid, _build_pyramid
 
@@ -59,9 +59,9 @@ def ngf_value_oracle(fixed, warped, epsilon):
 
 
 def ngf_core(fixed, warped, spacing, epsilon):
-    """``_ngf_core`` with the fixed image's planes built as a level builds them."""
-    return _ngf_core(_fixed_ngf(*central_gradient_raw(fixed, spacing), epsilon), warped,
-                     spacing, epsilon)
+    """``_ngf_core`` with the fixed image's planes built as ``total_loss`` builds them."""
+    gfx, gfy, norm = Image2D(fixed, spacing).gradient
+    return _ngf_core((gfx, gfy, norm + epsilon * epsilon), warped, spacing, epsilon)
 
 
 class TestNgf:
@@ -299,6 +299,21 @@ class TestWeights:
             rep = total_loss(flat, flat, None, None, make_grid(8, 8, 4.0),
                              LossWeights(epsilon=epsilon))
             assert rep.total == 0.0 and np.all(rep.backward() == 0.0)
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+    @pytest.mark.parametrize("epsilon", [1.5e-81, 0.1, 1.15e77])
+    @pytest.mark.parametrize("scale", [1.0, 255.0, 65535.0, 1e30,
+                                       float(np.finfo(np.float32).max)])
+    def test_finite_at_any_intensity_scale(self, scale, epsilon, labelled):
+        """A forward and backward pass on 12 px images of intensities up to float32's
+        largest, at either end of epsilon's range and in between, give a finite total
+        and gradient (and no RuntimeWarning), with c = |gF|^2 + eps^2 formed from the
+        fixed image's cached squared gradient norm."""
+        fixed, moving, foh, moh, grid = _random_problem(19, h=12, w=12)
+        stacks = (foh, moh) if labelled else (None, None)
+        rep = total_loss(Image2D(scale * fixed.data), Image2D(scale * moving.data), *stacks,
+                         grid, LossWeights(epsilon=epsilon))
+        assert np.isfinite(rep.total) and np.all(np.isfinite(rep.grad_total))
 
 
 def _random_problem(seed, h=14, w=16, spacing_px=5.0, amp=0.5):

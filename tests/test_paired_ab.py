@@ -21,7 +21,7 @@ def test_checkout_against_itself():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines if line.startswith("round ")] == ["round"] * 2
-    for name in ("wall time (s)", "minor faults", "CPU time (s)"):
+    for name in ("wall time (s)", "minor faults", "CPU time (s)", "peak RSS (MB)"):
         for side in ("parent", "change"):
             assert sum(line.startswith(f"{name}: {side} median ") for line in lines) == 1
         verdicts = [line for line in lines if line.startswith(f"{name}: change lower in ")]
@@ -30,8 +30,7 @@ def test_checkout_against_itself():
     assert lines[-1] == "outputs: identical"
 
 
-@pytest.mark.parametrize("flags", [("--pairs", "0"), ("--pairs", "-1"), ("--seed", "-1")])
-def test_bad_count_is_a_usage_error(flags, monkeypatch, capsys):
+def assert_usage_error(argv, monkeypatch, capsys):
     """Exit 2 with one line on stderr, before any child starts."""
     spec = importlib.util.spec_from_file_location("paired_ab", TOOL)
     tool = importlib.util.module_from_spec(spec)
@@ -42,8 +41,25 @@ def test_bad_count_is_a_usage_error(flags, monkeypatch, capsys):
 
     monkeypatch.setattr(tool.subprocess, "run", no_child)
     with pytest.raises(SystemExit) as exit_info:
-        tool.main([str(ROOT), str(ROOT), "--workload", "weak64", *flags])
+        tool.main(argv)
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("flags", [("--pairs", "0"), ("--pairs", "-1"), ("--seed", "-1")])
+def test_bad_count_is_a_usage_error(flags, monkeypatch, capsys):
+    assert_usage_error([str(ROOT), str(ROOT), "--workload", "weak64", *flags],
+                       monkeypatch, capsys)
+
+
+def test_paths_of_different_lengths_are_a_usage_error(tmp_path, monkeypatch, capsys):
+    """Fault counts follow the checkout's path, so two stub checkouts at paths of
+    different lengths are refused."""
+    roots = [tmp_path / "a", tmp_path / "bb"]
+    for root in roots:
+        (root / "src" / "defreg").mkdir(parents=True)
+        (root / "perfbench").mkdir()
+        (root / "perfbench" / "run.py").touch()
+    assert_usage_error([*map(str, roots), "--workload", "weak64"], monkeypatch, capsys)

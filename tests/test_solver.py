@@ -232,22 +232,54 @@ class TestOptimizerBehaviour:
         assert all(len(ids) == 1 for ids in by_width.values())
 
     def test_fixed_gradient_taken_once_per_level(self, monkeypatch):
-        """The warped image's gradient is taken once per loss evaluation and the
-        fixed image's once per level, so a 3-level labelled run takes
-        ``loss_evals + 3`` gradients (``2 * loss_evals`` when each evaluation
-        took both)."""
+        """The warped image's gradient is taken once per loss evaluation and each
+        level's fixed image's once, as its cached property, so a 3-level labelled
+        run takes ``loss_evals + 3`` gradients (``2 * loss_evals`` when each
+        evaluation took both). The caller's finest fixed image keeps its gradient,
+        so a second run on the same pair takes ``loss_evals + 2``."""
         calls = {"total_loss": 0, "central_gradient_raw": 0}
-        for module, name in ((solver, "total_loss"), (lossterms, "central_gradient_raw")):
+        for module, name in ((solver, "total_loss"), (lossterms, "central_gradient_raw"),
+                             (image, "central_gradient_raw")):
             def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
         pair = small_pair(seed=2, magnitude=2.0)
-        register(pair.fixed_image, pair.moving_image, pair.fixed_labels, pair.moving_labels,
-                 replace(FAST, max_iters_per_level=5))
-        assert FAST.num_levels == 3 and calls["total_loss"] > 3 * 5
-        assert calls["central_gradient_raw"] == calls["total_loss"] + 3
+        for taken_before in (3, 2):
+            calls.update(dict.fromkeys(calls, 0))
+            register(pair.fixed_image, pair.moving_image, pair.fixed_labels,
+                     pair.moving_labels, replace(FAST, max_iters_per_level=5))
+            assert FAST.num_levels == 3 and calls["total_loss"] > 3 * 5
+            assert calls["central_gradient_raw"] == calls["total_loss"] + taken_before
+
+    def test_image_arrays_built_once_per_image_and_freed(self, monkeypatch):
+        """Each level's fixed image takes its gradient once and each moving image its
+        cell differences once per ``register``; the coarse levels' arrays die with
+        the call, and the caller's images keep theirs until they go."""
+        built = {"central_gradient_raw": [], "cell_differences": []}
+        for name, calls in built.items():
+            original = getattr(image, name)
+
+            def recording(data, *args, original=original, calls=calls):
+                out = original(data, *args)
+                calls.append((data.shape, [weakref.ref(a) for a in out]))
+                return out
+
+            monkeypatch.setattr(image, name, recording)
+        pair = small_pair(seed=2, magnitude=2.0)
+        register(pair.fixed_image, pair.moving_image, cfg=FAST)  # no stacks: no stack differences
+        gc.collect()
+        for name, calls in built.items():
+            # one build per level, each on an image of another size
+            assert len({shape for shape, _ in calls}) == len(calls) == FAST.num_levels, name
+            for shape, refs in calls:
+                alive = shape == pair.fixed_image.data.shape
+                assert all((ref() is not None) == alive for ref in refs), (name, shape)
+        del pair
+        gc.collect()
+        assert all(ref() is None for calls in built.values() for _, refs in calls
+                   for ref in refs)
 
     def test_beta_ignored_without_labels(self):
         pair = small_pair(seed=6, magnitude=2.0)

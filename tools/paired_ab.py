@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Paired A/B runs of two defreg checkouts on one benchmark workload: wall time,
-minor page faults and CPU time per pair.
+minor page faults and CPU time per pair, and peak RSS per run.
 
     python3 tools/paired_ab.py PARENT CHANGE --workload W [--rounds 10] [--seed S] [--pairs N]
 
@@ -10,22 +10,25 @@ imports its checkout's ``src/defreg`` and ``make_cases`` from its
 ``perfbench/run.py``, registers one warm-up pair, then the workload's pairs in
 process with the default configuration (``batch_cli``'s without the CLI). It
 prints each pair's wall seconds, ``getrusage`` minor faults (``ru_minflt``) and
-user plus system CPU seconds, and one sha256 over the grids and loss traces.
+user plus system CPU seconds, the run's peak resident set (``ru_maxrss`` in MB,
+as the benchmark's ``peak_rss_mb``) and one sha256 over the grids and loss
+traces.
 
 A side's value in a round is the median over its pairs, as the benchmark's
-``pair_s_p50``. For each measure the report gives each side's median and
-quartiles over the rounds, the rounds where the change's value was lower (a tie
-counts for neither side), the median of the per-round ratios change/parent
-(over rounds where the parent's is not 0), and a verdict: ``gain`` only when
-the change was lower in at least nine rounds and nine tenths of them and its
-median is below the parent's by more than the parent's interquartile range,
-otherwise ``unresolved``. Last it says whether every run gave the same digest.
+``pair_s_p50``, and for RSS the run's peak. For each measure the report gives
+each side's median and quartiles over the rounds, the rounds where the change's
+value was lower (a tie counts for neither side), the median of the per-round
+ratios change/parent (over rounds where the parent's is not 0), and a verdict:
+``gain`` only when the change was lower in at least nine rounds and nine tenths
+of them and its median is below the parent's by more than the parent's
+interquartile range, otherwise ``unresolved``. Last it says whether every run
+gave the same digest.
 
 Fault counts follow the memory layout, which follows the string hash seed
 (children inherit the caller's environment; set ``PYTHONHASHSEED`` to fix it)
-and the checkout's path, so give both checkouts paths of one length. The exit
-code is 0 when every run succeeded, 1 when one failed and 2, with one line, on
-a usage error.
+and the checkout's path, so the two checkouts' resolved paths must have one
+length. The exit code is 0 when every run succeeded, 1 when one failed and 2,
+with one line and before any run, on a usage error.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ import sys
 import time
 from pathlib import Path
 
-# the measures a run reports per pair: key, name in the report, number format
+# the measures a run reports, per pair (RSS once per run): key, name in the report, format
 MEASURES = (("seconds", "wall time (s)", ".4f"), ("faults", "minor faults", ".1f"),
-            ("cpu", "CPU time (s)", ".4f"))
+            ("cpu", "CPU time (s)", ".4f"), ("rss", "peak RSS (MB)", ".1f"))
 
 
 def run_checkout(root: Path, workload: str, seed: int, pairs: int | None) -> dict:
@@ -71,6 +74,7 @@ def run_checkout(root: Path, workload: str, seed: int, pairs: int | None) -> dic
         out["cpu"].append(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
         digest.update(res.grid.coeffs.tobytes())
         digest.update(repr([t.losses for t in res.level_traces]).encode())
+    out["rss"].append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
     return {**out, "sha256": digest.hexdigest()}
 
 
@@ -156,6 +160,10 @@ def main(argv=None):
     for root in (args.parent, args.change):
         if not (root / "src" / "defreg").is_dir() or not (root / "perfbench" / "run.py").is_file():
             p.error(f"{root} is not the root of a defreg checkout")
+    lengths = [len(str(root.resolve())) for root in (args.parent, args.change)]
+    if lengths[0] != lengths[1]:
+        p.error(f"PARENT and CHANGE resolve to paths of {lengths[0]} and {lengths[1]} "
+                "characters; fault counts follow the path, so give paths of one length")
     return compare(args)
 
 
