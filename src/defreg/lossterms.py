@@ -219,27 +219,91 @@ def boundary_ssd(fixed_oh: OneHotStack, warped_oh: OneHotStack):
     return _ssd_core(fixed_oh.channels, warped_oh.channels, 1.0)
 
 
+def _image_term(fixed: Image2D, moving: Image2D, geom: SampleGeometry, epsilon: float,
+                work: LevelBuffers):
+    """D's value and pullback at the samples ``geom``, through :func:`_ngf_core`; the
+    pullback writes the per-pixel force into ``work.force`` and returns it."""
+    gfx, gfy, gf2 = fixed.gradient
+    c = np.add(gf2, epsilon * epsilon, out=work.c)
+    warped = bilinear_sample_with_grad(moving.data, geom, out=work.corners[0],
+                                       corners=work.corners)
+    value, ngf_pullback = _ngf_core((gfx, gfy, c), warped, fixed.spacing, epsilon, work=work.ngf)
+
+    def pullback() -> np.ndarray:
+        d_grad_warped = ngf_pullback()
+        dmx, dmy = bilinear_slopes(moving.cell_differences, geom, out=work.coords,
+                                   scratch=work.corners[0])
+        np.multiply(d_grad_warped, dmx, out=work.force[..., 0])
+        np.multiply(d_grad_warped, dmy, out=work.force[..., 1])
+        return work.force
+
+    return value, pullback
+
+
+def _band_term(fixed_oh: OneHotStack, moving_oh: OneHotStack, geom: SampleGeometry,
+               spacing: float, work: LevelBuffers):
+    """B's value (by :func:`boundary_ssd`'s kernel) and pullback at the samples ``geom``;
+    the pullback writes the per-pixel force into ``work.band_force`` and returns it.
+
+    B is exact but narrow-band: one integer gather of ``moving_oh.cell_labels``
+    at the samples' cells finds the pixels whose sample is a one-hot vector
+    ``e_l``; they add ``fixed_oh.label_sq_distances[l, p]``. The K channels are
+    sampled, and later differentiated, only on the other (band) pixels.
+    """
+    k = moving_oh.channels.shape[0]
+    n = geom.i00.size
+    cells = moving_oh.cell_labels.take(geom.i00.reshape(-1), out=work.cells, mode="clip")
+    index = np.multiply(cells, n, out=work.index)
+    index += work.pixels
+    # row -1 of the table is zero, so band pixels add nothing here; "wrap"
+    # reads index -n + p as row -1, as the default mode would, without a copy
+    uniform = float(np.sum(fixed_oh.label_sq_distances.take(index, out=work.table, mode="wrap")))
+    band = np.flatnonzero(np.less(cells, 0, out=work.in_band))
+    band_geom = geom.subset(band, out=work.band_geom)
+    nb = band.size
+    warped_band, fixed_band = work.band_samples[:, :k * nb].reshape(2, k, nb)
+    # one sampler call per channel, not one on the stack: perfbench counts
+    # calls, and its smoke test pins 5 per loss evaluation
+    for ch, row in zip(moving_oh.channels, warped_band):
+        bilinear_sample_with_grad(ch, band_geom, out=row, corners=work.band_corners[:, :nb])
+    fixed_oh.channels.reshape(k, n).take(band, axis=1, out=fixed_band, mode="clip")
+    # the difference overwrites the warped samples and its square the fixed ones
+    value, diff = _ssd_core(fixed_band, warped_band, spacing, out=(warped_band, fixed_band))
+    value += 0.5 * spacing * spacing * uniform
+
+    def pullback() -> np.ndarray:
+        grad = diff  # the pullback runs once: scale the difference in place
+        grad *= spacing * spacing
+        # the slopes are exactly zero off the band, so only band pixels get a force
+        slopes = work.band_slopes[:, :k * nb].reshape(3, k, nb)
+        dkx, dky = bilinear_slopes(moving_oh.cell_differences, band_geom, out=slopes[:2],
+                                   scratch=slopes[2])
+        work.band_force.fill(0.0)
+        pixel_force = work.band_force.reshape(-1, 2)
+        for j, slope in enumerate((dkx, dky)):
+            slope *= grad
+            pixel_force[band, j] = np.sum(slope, axis=0)
+        return work.band_force
+
+    return value, pullback
+
+
 def total_loss(fixed: Image2D, moving: Image2D,
                fixed_oh: OneHotStack | None, moving_oh: OneHotStack | None,
                grid: ControlGrid, w: LossWeights, with_grad: bool = True,
                work: LevelBuffers | None = None) -> LossReport:
     """Evaluate the combined loss for a control grid and back-propagate to coefficients.
 
-    This is the forward pass: the three values (B's from the kernel that
-    :func:`boundary_ssd` uses) and the curvature gradient, which costs nothing
-    more. The report keeps the pullback, a closure over the forward pass's
-    arrays that ``report.backward()`` runs to build the other gradients;
+    This is the forward pass: the three values (D's from :func:`_image_term`, B's
+    from :func:`_band_term`) and the curvature gradient, which costs nothing
+    more. The report keeps the pullback, a closure over the terms' pullbacks
+    that ``report.backward()`` runs to build the other gradients;
     ``with_grad`` runs it at once.
 
     Every image-sized array is written into ``work``, a :class:`LevelBuffers`
     for this level; without one, the call makes its own. A report made through
     shared buffers must run its backward pass before the next evaluation
     through them. What depends on one image or stack alone is its property.
-
-    B is exact but narrow-band: one integer gather of ``moving_oh.cell_labels``
-    at the samples' cells finds the pixels whose sample is a one-hot vector
-    ``e_l``; they add ``fixed_oh.label_sq_distances[l, p]``. The K channels are
-    sampled, and later differentiated, only on the other (band) pixels.
 
     With beta = 0 (or stacks absent) the boundary term is skipped entirely;
     with delta = 0 the image distance is skipped, leaving the purely
@@ -264,42 +328,10 @@ def total_loss(fixed: Image2D, moving: Image2D,
     generation = work.generation
 
     geom = work.geom.fill(*grid_sample_coords(grid, work.positions, out=work.coords))
-
-    b_value = 0.0
-    band = band_geom = b_diff = None
-    if use_boundary:
-        n = geom.i00.size
-        cells = moving_oh.cell_labels.take(geom.i00.reshape(-1), out=work.cells, mode="clip")
-        index = np.multiply(cells, n, out=work.index)
-        index += work.pixels
-        # row -1 of the table is zero, so band pixels add nothing here; "wrap"
-        # reads index -n + p as row -1, as the default mode would, without a copy
-        uniform = float(np.sum(fixed_oh.label_sq_distances.take(
-            index, out=work.table, mode="wrap")))
-        band = np.flatnonzero(np.less(cells, 0, out=work.in_band))
-        band_geom = geom.subset(band, out=work.band_geom)
-        nb = band.size
-        warped_band, fixed_band = work.band_samples[:, :k * nb].reshape(2, k, nb)
-        # one sampler call per channel, not one on the stack: perfbench counts
-        # calls, and its smoke test pins 5 per loss evaluation
-        for ch, row in zip(moving_oh.channels, warped_band):
-            bilinear_sample_with_grad(ch, band_geom, out=row, corners=work.band_corners[:, :nb])
-        fixed_oh.channels.reshape(k, n).take(band, axis=1, out=fixed_band, mode="clip")
-        # the difference overwrites the warped samples and its square the fixed ones
-        b_value, b_diff = _ssd_core(fixed_band, warped_band, fixed.spacing,
-                                    out=(warped_band, fixed_band))
-        b_value += 0.5 * fixed.spacing * fixed.spacing * uniform
-
-    d_value = 0.0
-    ngf_pullback = None
-    if w.delta != 0.0:
-        gfx, gfy, gf2 = fixed.gradient
-        c = np.add(gf2, w.epsilon * w.epsilon, out=work.c)
-        warped = bilinear_sample_with_grad(moving.data, geom, out=work.corners[0],
-                                           corners=work.corners)
-        d_value, ngf_pullback = _ngf_core((gfx, gfy, c), warped, fixed.spacing, w.epsilon,
-                                          work=work.ngf)
-
+    b_value, b_pullback = (_band_term(fixed_oh, moving_oh, geom, fixed.spacing, work)
+                           if use_boundary else (0.0, None))
+    d_value, d_pullback = (_image_term(fixed, moving, geom, w.epsilon, work)
+                           if w.delta != 0.0 else (0.0, None))
     r_value, grad_r = curvature(grid, fixed.width, fixed.height, fixed.spacing)
 
     def pullback():
@@ -307,28 +339,8 @@ def total_loss(fixed: Image2D, moving: Image2D,
             raise RuntimeError("stale pullback: a later total_loss evaluation has "
                                "overwritten the buffers this report reads")
         # an absent term's gradient is zero; only present terms are splatted
-        grad_d = np.zeros_like(grid.coeffs)
-        grad_b = np.zeros_like(grid.coeffs)
-        if ngf_pullback is not None:
-            d_grad_warped = ngf_pullback()
-            dmx, dmy = bilinear_slopes(moving.cell_differences, geom, out=work.coords,
-                                       scratch=work.corners[0])
-            np.multiply(d_grad_warped, dmx, out=work.force[..., 0])
-            np.multiply(d_grad_warped, dmy, out=work.force[..., 1])
-            grad_d = splat_to_grid(work.force, grid)
-        if b_diff is not None:
-            b_grad = b_diff  # the pullback runs once: scale the difference in place
-            b_grad *= fixed.spacing * fixed.spacing
-            # the slopes are exactly zero off the band, so only band pixels get a force
-            slopes = work.band_slopes[:, :k * nb].reshape(3, k, nb)
-            dkx, dky = bilinear_slopes(moving_oh.cell_differences, band_geom, out=slopes[:2],
-                                       scratch=slopes[2])
-            work.band_force.fill(0.0)
-            pixel_force = work.band_force.reshape(-1, 2)
-            for j, slope in enumerate((dkx, dky)):
-                slope *= b_grad
-                pixel_force[band, j] = np.sum(slope, axis=0)
-            grad_b = splat_to_grid(work.band_force, grid)
+        grad_d, grad_b = (np.zeros_like(grid.coeffs) if term is None
+                          else splat_to_grid(term(), grid) for term in (d_pullback, b_pullback))
         return grad_d, grad_b, w.delta * grad_d + w.alpha * grad_r + w.beta * grad_b
 
     total = w.delta * d_value + w.alpha * r_value + w.beta * b_value

@@ -557,6 +557,42 @@ class TestLevelBuffers:
             with pytest.raises(DomainError, match="buffers"):
                 total_loss(fixed, moving, foh, moh, grid, w, work=work)
 
+    IMAGE_ARRAYS = ("c", "ngf", "force", "corners")
+    BAND_ARRAYS = ("cells", "index", "table", "in_band", "band_samples", "band_slopes",
+                   "band_corners", "band_force",
+                   *(f"band_geom.{name}" for name in SampleGeometry._ARRAYS))
+
+    def test_each_term_writes_only_its_arrays(self):
+        """A forward and backward pass without one term leaves that term's arrays
+        as they were and writes the other's: each array has one owner. The pixel
+        positions and indices are constants that the evaluation only reads."""
+        fixed, moving, foh, moh, grid, w = _forward_case("supervised", 20)
+        work = self._buffers(fixed, moh)
+
+        def arrays():
+            found = {name: a for name, a in vars(work).items() if isinstance(a, np.ndarray)}
+            for geom in ("geom", "band_geom"):
+                found.update({f"{geom}.{name}": getattr(getattr(work, geom), name)
+                              for name in SampleGeometry._ARRAYS})
+            return found
+
+        for weights, kept, written in ((replace(w, beta=0.0), self.BAND_ARRAYS,
+                                        self.IMAGE_ARRAYS),
+                                       (replace(w, delta=0.0), self.IMAGE_ARRAYS,
+                                        self.BAND_ARRAYS)):
+            sentinel = {}
+            for name, a in arrays().items():
+                if name not in ("positions", "pixels"):
+                    a.fill(7)
+                    sentinel[name] = a.copy()
+            total_loss(fixed, moving, foh, moh, grid, weights, with_grad=False,
+                       work=work).backward()
+            after = arrays()
+            for name in kept:
+                assert np.array_equal(after[name], sentinel[name]), name
+            for name in written:
+                assert not np.array_equal(after[name], sentinel[name]), name
+
     @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
     def test_evaluation_allocates_less_than_one_plane(self, labelled):
         """After a level's first evaluation, a forward and backward pass at 112 px
