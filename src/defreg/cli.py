@@ -93,13 +93,15 @@ def _entry_paths(e, fixed_key, moving_key):
 
 
 def _fail(exc, prefix="") -> int:
-    """Print the one-line message of a failed run and return its exit code."""
+    """Print the one-line message of a failed run and return its exit code. Unprintable
+    characters (a newline in a path or an id) are escaped, so the message stays one line."""
     if isinstance(exc, NumericalError):
-        print(f"numerical error: {prefix}{exc} (level={exc.level}, "
-              f"iteration={exc.iteration}, weights={exc.weights})", file=sys.stderr)
-        return 2
-    print(f"error: {prefix}{exc}", file=sys.stderr)
-    return 1
+        line, code = (f"numerical error: {prefix}{exc} (level={exc.level}, "
+                      f"iteration={exc.iteration}, weights={exc.weights})"), 2
+    else:
+        line, code = f"error: {prefix}{exc}", 1
+    print("".join(c if c.isprintable() else repr(c)[1:-1] for c in line), file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,10 @@ class Image2D:
         return self.data.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LabelMap:
-    """Integer segmentation with ``num_classes`` labels including background 0."""
+    """Integer segmentation with ``num_classes`` labels including background 0.
+    Immutable, like :class:`Image2D`: the labels are a read-only int32 copy."""
 
     labels: np.ndarray
     num_classes: int
@@ -103,7 +104,9 @@ class LabelMap:
             raise DomainError("labels must be non-negative")
         if labels.size and labels.max() >= k:
             raise DomainError(f"label {labels.max()} out of range for num_classes={k}")
-        self.labels = np.asarray(labels, dtype=np.int32)
+        labels = np.array(labels, dtype=np.int32)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
     @property
     def width(self) -> int:
@@ -125,6 +128,8 @@ class OneHotStack:
         channels = np.array(self.channels, dtype=np.float64)
         if channels.ndim != 3:
             raise DomainError(f"one-hot stack must be (K, H, W), got {channels.shape}")
+        if channels.shape[0] < 1:
+            raise DomainError("one-hot stack must have at least one channel")
         if not np.all(np.isfinite(channels)):
             raise DomainError("one-hot channels must be finite")
         channels.flags.writeable = False

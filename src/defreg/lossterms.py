@@ -42,7 +42,7 @@ __all__ = ["LossWeights", "LossReport", "LevelBuffers", "curvature", "boundary_s
            "total_loss"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     delta: float = 1.0
     alpha: float = 1.0e3
@@ -341,7 +341,10 @@ def total_loss(fixed: Image2D, moving: Image2D,
         # an absent term's gradient is zero; only present terms are splatted
         grad_d, grad_b = (np.zeros_like(grid.coeffs) if term is None
                           else splat_to_grid(term(), grid) for term in (d_pullback, b_pullback))
-        return grad_d, grad_b, w.delta * grad_d + w.alpha * grad_r + w.beta * grad_b
+        # overflowing weights give inf (or inf - inf), as in the Python-float total,
+        # without a warning: the solver reports a non-finite gradient norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            return grad_d, grad_b, w.delta * grad_d + w.alpha * grad_r + w.beta * grad_b
 
     total = w.delta * d_value + w.alpha * r_value + w.beta * b_value
     report = LossReport(d_value=d_value, r_value=r_value, b_value=b_value, total=float(total),

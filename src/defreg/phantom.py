@@ -28,7 +28,7 @@ RV_CAVITY = 3
 _MAX_AMPLITUDE = HUGE / 2  # the largest a whose rng.uniform(-a, a) span 2a is finite
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhantomSpec:
     width: int = 112
     height: int = 112

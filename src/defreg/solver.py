@@ -34,7 +34,7 @@ BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 30
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegistrationConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     num_levels: int = 3
@@ -56,6 +56,10 @@ class LevelTrace:
     height: int
     losses: list
     termination: str
+    # unweighted {"d", "r", "b"} of the level's first evaluation and of its last
+    # accepted point: a term that reads 0 at both did nothing at this level
+    start: dict
+    end: dict
 
 
 @dataclass
@@ -91,6 +95,8 @@ class RegistrationResult:
                     "iterations": len(t.losses) - 1,
                     "termination": t.termination,
                     "losses": t.losses,
+                    "start": t.start,
+                    "end": t.end,
                 }
                 for t in self.level_traces
             ],
@@ -112,6 +118,10 @@ def _build_onehot_pyramid(lab: LabelMap, levels: int):
     for _ in range(levels - 1):
         pyr.append(OneHotStack(block_mean(pyr[-1].channels)))
     return pyr
+
+
+def _terms(rep) -> dict:
+    return {"d": rep.d_value, "r": rep.r_value, "b": rep.b_value}
 
 
 def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
@@ -137,36 +147,44 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
         with np.errstate(over="ignore"):
             return check(float(np.linalg.norm(g)), "non-finite gradient norm", iteration)
 
-    rep = forward(coeffs)
-    f0 = check(rep.total, "non-finite loss at level start", 0)
-    g = rep.backward()
-    losses = [f0]
-    gnorm0 = gnorm = gradient_norm(g, 0)
-    step = 1.0 / (float(np.abs(g).max()) + 1e-12)
-    termination = "max_iters"
-    for it in range(cfg.max_iters_per_level):
-        if gnorm <= GRADIENT_TOLERANCE * gnorm0:
-            termination = "gradient_tolerance"
-            break
-        gg = gnorm * gnorm
-        t = step
-        for _ in range(MAX_BACKTRACKS + 1):
-            trial = coeffs - t * g
-            rep = forward(trial)
-            ft = check(rep.total, "non-finite loss during line search", it)
-            if ft <= f0 - ARMIJO_CONSTANT * t * gg:
-                break
-            t *= BACKTRACK_FACTOR
-        else:
-            termination = "line_search_failure"
-            break
-        # the accepted trial's forward pass is the new point's: only its backward pass runs
-        coeffs = trial
-        f0, g = ft, rep.backward()
-        gnorm = gradient_norm(g, it + 1)
-        losses.append(f0)
-        step = 2.0 * t  # warm-start next trial from the last accepted step
-    return ControlGrid(grid.spacing_px, coeffs), losses, termination
+    # an overflow, a division by zero or an invalid operation in an evaluation is a
+    # NumericalError at the iteration it happens in, not a warning
+    it = 0
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rep = accepted = forward(coeffs)
+            f0 = check(rep.total, "non-finite loss at level start", 0)
+            g = rep.backward()
+            losses, start = [f0], _terms(rep)
+            gnorm0 = gnorm = gradient_norm(g, 0)
+            step = 1.0 / (float(np.abs(g).max()) + 1e-12)
+            termination = "max_iters"
+            for it in range(cfg.max_iters_per_level):
+                if gnorm <= GRADIENT_TOLERANCE * gnorm0:
+                    termination = "gradient_tolerance"
+                    break
+                gg = gnorm * gnorm
+                t = step
+                for _ in range(MAX_BACKTRACKS + 1):
+                    trial = coeffs - t * g
+                    rep = forward(trial)
+                    ft = check(rep.total, "non-finite loss during line search", it)
+                    if ft <= f0 - ARMIJO_CONSTANT * t * gg:
+                        break
+                    t *= BACKTRACK_FACTOR
+                else:
+                    termination = "line_search_failure"
+                    break
+                # the accepted trial's forward pass is the new point's: only its backward pass runs
+                coeffs, accepted = trial, rep
+                f0, g = ft, rep.backward()
+                gnorm = gradient_norm(g, it + 1)
+                losses.append(f0)
+                step = 2.0 * t  # warm-start next trial from the last accepted step
+    except FloatingPointError as exc:
+        raise NumericalError(f"floating-point error: {exc}", level=level, iteration=it,
+                             weights=asdict(w)) from None
+    return ControlGrid(grid.spacing_px, coeffs), losses, termination, start, _terms(accepted)
 
 
 def register(fixed: Image2D, moving: Image2D,
@@ -226,10 +244,10 @@ def register(fixed: Image2D, moving: Image2D,
             grid = make_grid(f_l.width, f_l.height, spacing_px)
         else:
             grid = prolongate(grid, f_l.width, f_l.height)
-        grid, losses, termination = _solve_level(
+        grid, losses, termination, first, last = _solve_level(
             f_l, m_l, fixed_oh_pyr[level], moving_oh_pyr[level], grid, level_cfg, level)
         traces.append(LevelTrace(level=level, width=f_l.width, height=f_l.height,
-                                 losses=losses, termination=termination))
+                                 losses=losses, termination=termination, start=first, end=last))
 
     duration = time.perf_counter() - start
     return RegistrationResult(grid=grid, level_traces=traces, duration_s=duration, config=cfg,

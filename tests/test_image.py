@@ -389,6 +389,17 @@ class TestOneHot:
         np.testing.assert_allclose(oh.channels.sum(axis=0), 1.0)
         np.testing.assert_array_equal(np.argmax(oh.channels, axis=0), labels)
 
+    def test_labels_cannot_change_after_the_checks(self):
+        """A label map keeps a read-only int32 copy, so no code escapes the range
+        check later: label 9 written into a 4-class map gave an all-zero one-hot vector."""
+        source = np.zeros((3, 3), dtype=np.int64)
+        lab = LabelMap(source, num_classes=4)
+        assert lab.labels.dtype == np.int32
+        with pytest.raises(ValueError, match="read-only"):
+            lab.labels[0, 0] = 9
+        source[0, 0] = 9
+        assert np.all(to_one_hot(lab).channels.sum(axis=0) == 1.0)
+
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             LabelMap(np.array([[0, 7]]), num_classes=4)
@@ -456,6 +467,12 @@ class TestOneHotCells:
         with pytest.raises(DomainError, match="finite"):
             OneHotStack(channels)
 
+    def test_no_channels_rejected(self):
+        """A stack without channels has no label per pixel, as a label map with
+        num_classes 0 has none; ``cell_labels`` died in numpy's argmax."""
+        with pytest.raises(DomainError, match="at least one channel"):
+            OneHotStack(np.zeros((0, 4, 4)))
+
 
 # each immutable container: a factory from its array, the array's field and the
 # arrays it derives from it on first use
@@ -463,6 +480,7 @@ IMMUTABLE = {
     "OneHotStack": (OneHotStack, "channels",
                     ("cell_labels", "label_sq_distances", "cell_differences")),
     "Image2D": (Image2D, "data", ("gradient", "cell_differences")),
+    "LabelMap": (lambda labels: LabelMap(labels, num_classes=2), "labels", ()),
 }
 
 

@@ -1,10 +1,13 @@
 """File formats and the command-line pipeline."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 import defreg
 from defreg import Image2D, LabelMap, RegistrationConfig, ablate, make_grid
 from defreg.bspline import ControlGrid, DisplacementField
-from defreg.cli import cli_main
+from defreg.cli import DEFAULTS, cli_main
 from defreg.errors import DomainError
 from defreg import io as regio
 from test_acceptance import ablation_pair
@@ -233,6 +236,8 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["weights"]["beta"] == 5.0e4
         assert "final_loss" in report and "folding_fraction" in report
+        for level in report["levels"]:
+            assert sorted(level["start"]) == sorted(level["end"]) == ["b", "d", "r"]
 
     def test_report_deterministic_across_runs(self, synth_dir, tmp_path):
         entries = regio.read_manifest(synth_dir / "manifest.json")
@@ -395,6 +400,7 @@ def bad_inputs(tmp_path):
         "escape.json": json.dumps([{"id": "../escaped", **pair}]),
         "repeated.json": json.dumps([{"id": "p0", **pair}, {"id": "p0", **pair}]),
         "pathnumber.json": json.dumps([{"id": "p0", **pair, "fixed_image": 5}]),
+        "pathnewline.json": json.dumps([{"id": "p0", **pair, "fixed_image": "a\nb"}]),
         "nofixed.json": json.dumps([{"id": "p0", "moving_image": "img.raw", **labels}]),
         "short.raw": "", "short.json": json.dumps({"width": 4}),
         "bad.raw": "", "bad.json": "nope",
@@ -432,6 +438,8 @@ BAD_INPUTS = {
     "manifest_id_repeated": ["register", "--manifest", "{d}/repeated.json", "--out", "{d}/out"],
     "manifest_path_not_string": ["register", "--manifest", "{d}/pathnumber.json",
                                  "--out", "{d}/out"],
+    "manifest_path_with_newline": ["register", "--manifest", "{d}/pathnewline.json",
+                                   "--out", "{d}/out"],
     "register_manifest_without_fixed_image": ["register", "--manifest", "{d}/nofixed.json",
                                               "--max-iters", "1", "--out", "{d}/out"],
     "ablate_manifest_without_fixed_image": ["ablate", "--manifest", "{d}/nofixed.json",
@@ -540,17 +548,25 @@ def test_synth_bad_amplitude_exits_one_line(tmp_path, flag, value):
 
 
 def test_numerical_failure_exits_two(tmp_path):
-    """A non-finite loss (delta 1e308) or gradient norm (delta 1e300: the loss is
-    finite, the gradient's squares are not), run as a process: exit 2 and one
+    """A non-finite loss (delta 1e308), gradient norm (delta 1e300: the loss is
+    finite, the gradient's squares are not) or intermediate (a pixel spacing of
+    5e-324 from the sidecars: the image gradients overflow, which printed numpy
+    warnings before the message), run as a process: exit 2 and one
     ``numerical error:`` line naming the level and iteration, no traceback."""
     rng = np.random.default_rng(0)
     for name in ("fixed", "moving"):
-        regio.write_raw_image(tmp_path / f"{name}.raw", Image2D(rng.random((32, 32))))
-    for delta, what in (("1e308", "non-finite loss"), ("1e300", "non-finite gradient norm")):
+        data = rng.random((32, 32))
+        regio.write_raw_image(tmp_path / f"{name}.raw", Image2D(data))
+        regio.write_raw_image(tmp_path / f"{name}_tiny.raw", Image2D(data, spacing=5e-324))
+    for flags, what in ((["--delta", "1e308"], "non-finite loss"),
+                        (["--delta", "1e300"], "non-finite gradient norm"),
+                        (["--fixed", str(tmp_path / "fixed_tiny.raw"),
+                          "--moving", str(tmp_path / "moving_tiny.raw")],
+                         "floating-point error: overflow")):
         proc = subprocess.run([sys.executable, "-m", "defreg.cli", "register",
                                "--fixed", str(tmp_path / "fixed.raw"),
                                "--moving", str(tmp_path / "moving.raw"),
-                               "--out", str(tmp_path / "out"), "--delta", delta, "--levels", "2"],
+                               "--out", str(tmp_path / "out"), *flags, "--levels", "2"],
                               env=_cli_env(), capture_output=True, text=True, timeout=120)
         assert "Traceback" not in proc.stderr, proc.stderr
         assert proc.returncode == 2, proc.stderr
@@ -689,3 +705,126 @@ def test_weak_supervision_ablate_matches_in_process(weak_manifest, tmp_path, par
                 *([f"{f:g}", f"{dice:.6f}", f"{fold:.6f}"] for f, dice, fold in rows)]
     with open(out, newline="") as fh:
         assert list(csv.reader(fh)) == expected
+
+
+# ---------------------------------------------------------------------------
+# generated inputs: a valid labelled register run on 8-16 px images, one level
+# and 1-3 iterations, with one to three of its inputs mutated
+
+_ODD_JSON = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324, 1e-300,
+                     1.7976931348623157e308, -1.0, 0, 0.0, -0.0, 1, 2.5, 8, 16, 2 ** 70,
+                     True, False, None, "", "1", "x", "img.raw"]),
+    st.floats(), st.integers(-2 ** 64, 2 ** 64), st.text(max_size=4),
+    st.lists(st.integers(0, 16), max_size=2),
+    st.dictionaries(st.sampled_from(["width", "kind", "id"]), st.integers(0, 16), max_size=1))
+_ODD_FLAG = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "1e308", "1.7e308", "5e-324", "1e-300",
+                     "-0", "0", "1", "2", "0x10", "1_0", "", "x", " 1", "1e3", "-1"]),
+    st.floats().map(repr), st.integers(-3, 20).map(str))
+_TARGETS = st.sampled_from(["fixed", "moving", "both"])
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("sidecar"), _TARGETS,
+              st.sampled_from(["width", "height", "spacing", "kind", "extra"]), _ODD_JSON),
+    st.tuples(st.just("raw_length"), _TARGETS, st.integers(-8, 8)),
+    st.tuples(st.just("pgm_token"), _TARGETS, st.integers(0, 3),
+              st.one_of(st.integers(-2, 70000).map(str),
+                        st.sampled_from(["P2", "P6", "x", "1e1", "+8", "0x8", "1_6", "٣"]))),
+    st.tuples(st.just("pgm_length"), _TARGETS, st.integers(-4, 3)),
+    st.tuples(st.just("pgm_label"), _TARGETS, st.integers(0, 255), st.integers(0, 255)),
+    st.tuples(st.just("entry"), st.sampled_from(["id", "fixed_image", "moving_image",
+                                                 "fixed_labels", "moving_labels", "gt_field",
+                                                 "extra"]),
+              st.one_of(_ODD_JSON, st.sampled_from(["", ".", "..", "a/b", "x" * 300, "a\nb",
+                                                    "fixed.raw", "fixed_labels.pgm",
+                                                    "missing.raw", "manifest.json"]))),
+    st.tuples(st.just("manifest"), _ODD_JSON),
+    st.tuples(st.just("config"), st.sampled_from([*DEFAULTS, "extra"]), _ODD_JSON),
+    st.tuples(st.just("config_file"), _ODD_JSON),
+    st.tuples(st.just("flag"), st.sampled_from(["--delta", "--alpha", "--beta", "--epsilon",
+                                                "--spacing", "--levels"]), _ODD_FLAG),
+    st.tuples(st.just("flag"), st.just("--max-iters"),
+              st.sampled_from(["-1", "0", "1", "3", "1.5", "x", "", "nan"])))
+
+
+def _mutated_inputs(d, size, seed, mutations):
+    """Write a labelled pair of ``size`` px raw images and label PGMs, a one-entry
+    manifest and a config file into ``d`` with ``mutations`` applied; return the
+    extra register flags the mutations give."""
+    rng = np.random.default_rng(seed)
+    both = ("fixed", "moving")
+    raws = {n: rng.random((size, size)).astype("<f4").tobytes() for n in both}
+    sidecars = {n: {"width": size, "height": size, "spacing": 1.0} for n in both}
+    tokens = {n: [b"P5", b"%d" % size, b"%d" % size, b"255"] for n in both}
+    bodies = {n: bytearray(rng.integers(0, 4, size * size).astype(np.uint8).tobytes())
+              for n in both}
+    entry = {"id": "p0", "fixed_image": "fixed.raw", "moving_image": "moving.raw",
+             "fixed_labels": "fixed_labels.pgm", "moving_labels": "moving_labels.pgm"}
+    manifest, config, flags = [entry], {"delta": 1.0}, []
+    for kind, *args in mutations:
+        names = both if args[0] == "both" else (args[0],)
+        for n in names:
+            if kind == "sidecar":
+                sidecars[n][args[1]] = args[2]
+            elif kind == "raw_length":
+                raws[n] = raws[n][:len(raws[n]) + args[1]] if args[1] < 0 else \
+                    raws[n] + bytes(args[1])
+            elif kind == "pgm_token":
+                tokens[n][args[1]] = args[2].encode()
+            elif kind == "pgm_length":
+                bodies[n] = bodies[n][:len(bodies[n]) + args[1]] if args[1] < 0 else \
+                    bodies[n] + bytes(args[1])
+            elif kind == "pgm_label" and bodies[n]:
+                bodies[n][args[1] % len(bodies[n])] = args[2]
+        if kind == "entry":
+            entry[args[0]] = args[1]
+        elif kind == "manifest":
+            manifest = args[0]
+        elif kind == "config" and isinstance(config, dict):
+            config[args[0]] = args[1]
+        elif kind == "config_file":
+            config = args[0]
+        elif kind == "flag":
+            flags += [args[0], args[1]]
+    for n in both:
+        (d / f"{n}.raw").write_bytes(raws[n])
+        (d / f"{n}.json").write_text(json.dumps(sidecars[n]))
+        (d / f"{n}_labels.pgm").write_bytes(b"\n".join(tokens[n]) + b"\n" + bodies[n])
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    (d / "config.json").write_text(json.dumps(config))
+    return flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.sampled_from([8, 12, 16]), seed=st.integers(0, 3),
+       iters=st.integers(1, 3), use_manifest=st.booleans(),
+       mutations=st.lists(_MUTATIONS, min_size=1, max_size=3))
+def test_mutated_inputs_exit_cleanly(size, seed, iters, use_manifest, mutations):
+    """``cli_main`` in process on mutated inputs: the exit code is 0, 1 or 2; on 1
+    or 2 stderr is one ``error:`` or ``numerical error:`` line; nothing is written
+    outside ``--out``. A numpy ``RuntimeWarning`` is an error here, so it fails too."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        d, out = root / "in", root / "out"
+        d.mkdir()
+        flags = _mutated_inputs(d, size, seed, mutations)
+        pair = (["--manifest", str(d / "manifest.json")] if use_manifest else
+                ["--fixed", str(d / "fixed.raw"), "--moving", str(d / "moving.raw"),
+                 "--fixed-labels", str(d / "fixed_labels.pgm"),
+                 "--moving-labels", str(d / "moving_labels.pgm")])
+        before = {p: p.read_bytes() for p in d.rglob("*")}
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(["register", *pair, "--config", str(d / "config.json"),
+                             "--levels", "1", "--max-iters", str(iters), *flags,
+                             "--out", str(out)])
+        assert {p: p.read_bytes() for p in d.rglob("*")} == before
+        assert {p for p in root.iterdir()} <= {d, out}
+        lines = stderr.getvalue().splitlines()
+        assert code in (0, 1, 2), lines
+        assert "Traceback" not in stderr.getvalue()
+        if code:
+            assert len(lines) == 1, lines
+            assert lines[0].startswith("numerical error:" if code == 2 else "error:"), lines
+        else:
+            assert not any(line.startswith(("error:", "numerical error:")) for line in lines)

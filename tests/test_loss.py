@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defreg import (
     ConfigurationError,
@@ -29,6 +31,7 @@ from defreg.bspline import (
     sample_coords,
     splat_to_grid,
 )
+from defreg.errors import HUGE
 from defreg.image import (
     OneHotStack,
     SampleGeometry,
@@ -304,16 +307,28 @@ class TestWeights:
     @pytest.mark.parametrize("epsilon", [1.5e-81, 0.1, 1.15e77])
     @pytest.mark.parametrize("scale", [1.0, 255.0, 65535.0, 1e30,
                                        float(np.finfo(np.float32).max)])
-    def test_finite_at_any_intensity_scale(self, scale, epsilon, labelled):
+    @settings(max_examples=15, deadline=None)
+    @given(delta=st.floats(0.0, HUGE), alpha=st.floats(0.0, HUGE), beta=st.floats(0.0, HUGE))
+    def test_finite_at_any_intensity_scale(self, scale, epsilon, labelled, delta, alpha, beta):
         """A forward and backward pass on 12 px images of intensities up to float32's
-        largest, at either end of epsilon's range and in between, give a finite total
-        and gradient (and no RuntimeWarning), with c = |gF|^2 + eps^2 formed from the
-        fixed image's cached squared gradient norm."""
+        largest, at either end of epsilon's range and in between, and at any accepted
+        weights, raise no RuntimeWarning and give finite terms and term gradients (c =
+        |gF|^2 + eps^2 is formed from the fixed image's cached squared gradient norm).
+        The weighted total and gradient are finite unless a weight times its term
+        overflows; the solver reports that as a non-finite loss or gradient norm."""
         fixed, moving, foh, moh, grid = _random_problem(19, h=12, w=12)
         stacks = (foh, moh) if labelled else (None, None)
+        w = LossWeights(delta=delta, alpha=alpha, beta=beta, epsilon=epsilon)
         rep = total_loss(Image2D(scale * fixed.data), Image2D(scale * moving.data), *stacks,
-                         grid, LossWeights(epsilon=epsilon))
-        assert np.isfinite(rep.total) and np.all(np.isfinite(rep.grad_total))
+                         grid, w)
+        terms = [(w.delta, rep.d_value, rep.grad_d), (w.alpha, rep.r_value, rep.grad_r),
+                 (w.beta, rep.b_value, rep.grad_b)]
+        for _, value, grad in terms:
+            assert np.isfinite(value) and np.all(np.isfinite(grad))
+        # Python floats: a product that overflows is inf, without a warning
+        if all(weight * value <= HUGE / 3 and weight * float(np.abs(grad).max()) <= HUGE / 3
+               for weight, value, grad in terms):
+            assert np.isfinite(rep.total) and np.all(np.isfinite(rep.grad_total))
 
 
 def _random_problem(seed, h=14, w=16, spacing_px=5.0, amp=0.5):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 from defreg import (
     ConfigurationError,
@@ -188,6 +188,29 @@ class TestOptimizerBehaviour:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.count("killed: ") == 4, proc.stdout
 
+    @pytest.mark.parametrize("epsilon", [0.1, 1e10])
+    def test_report_shows_an_inert_distance(self, epsilon):
+        """Each level reports the unweighted D, R and B of its first evaluation and of
+        its last accepted point, whose weighted sums are its first and last losses
+        (after a failed line search, not the rejected trial's). At epsilon 1e10 on
+        a 0-255 pair NGF rounds to 0, every level stops at once and the run exits 0;
+        the report reads D = 0 at every level. At epsilon 0.1 it reads D > 0."""
+        pair = small_pair(seed=0, magnitude=2.0)
+        fixed, moving = (Image2D(255.0 * img.data) for img in (pair.fixed_image,
+                                                                pair.moving_image))
+        cfg = replace(FAST, weights=replace(FAST.weights, epsilon=epsilon))
+        res = register(fixed, moving, cfg=cfg)
+        w = replace(cfg.weights, beta=0.0)
+        for level in res.report_dict()["levels"]:
+            for key, loss in (("start", level["losses"][0]), ("end", level["losses"][-1])):
+                terms = level[key]
+                assert w.delta * terms["d"] + w.alpha * terms["r"] + w.beta * terms["b"] == loss
+                assert terms["b"] == 0.0
+                assert terms["d"] == 0.0 if epsilon == 1e10 else terms["d"] > 0.0
+            if epsilon == 1e10:
+                assert level["termination"] == "line_search_failure"
+                assert level["end"] == level["start"]
+
     def test_report_dict_has_no_wall_clock(self):
         pair = small_pair(seed=0, magnitude=1.0)
         res = register(pair.fixed_image, pair.moving_image, cfg=FAST)
@@ -290,6 +313,19 @@ class TestOptimizerBehaviour:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("make, name, value", [
+        (RegistrationConfig, "num_levels", 0), (LossWeights, "delta", -1.0),
+        (PhantomSpec, "width", 4)], ids=["RegistrationConfig", "LossWeights", "PhantomSpec"])
+    def test_settings_are_values(self, make, name, value):
+        """Settings are frozen, so none escapes its check by being set later:
+        ``num_levels = 0`` set on a config made ``register`` die with numpy's
+        "negative shift count". ``replace`` makes a checked copy."""
+        settings = make()
+        with pytest.raises(FrozenInstanceError):
+            setattr(settings, name, value)
+        with pytest.raises(ConfigurationError):
+            replace(settings, **{name: value})
+
     def test_size_mismatch_rejected(self):
         from defreg.errors import DomainError
 
