@@ -14,7 +14,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,6 @@ __all__ = [
     "SampleGeometry",
     "bilinear_sample_with_grad",
     "bilinear_slopes",
-    "cell_differences",
     "nearest_sample",
     "central_gradient_raw",
     "gradient_adjoint",
@@ -69,11 +67,6 @@ class Image2D:
         norm = gx * gx + gy * gy
         gx.flags.writeable = gy.flags.writeable = norm.flags.writeable = False
         return gx, gy, norm
-
-    @cached_property
-    def cell_differences(self):
-        """The data's :func:`cell_differences`, which :func:`bilinear_slopes` reads."""
-        return cell_differences(self.data)
 
     @property
     def width(self) -> int:
@@ -144,11 +137,6 @@ class OneHotStack:
         return _cell_labels(self.channels)
 
     @cached_property
-    def cell_differences(self):
-        """The channels' :func:`cell_differences`, which :func:`bilinear_slopes` reads."""
-        return cell_differences(self.channels)
-
-    @cached_property
     def label_sq_distances(self) -> np.ndarray:
         """``(K+1, H*W)`` table: row ``l < K`` holds ``sum_k (e_l,k - c_k,p)^2``
         for each pixel ``p``; row ``K`` is zero, so the band's label -1 reads 0."""
@@ -169,13 +157,15 @@ def _cell_labels(channels: np.ndarray) -> np.ndarray:
 
 
 def _label_sq_distances(channels: np.ndarray) -> np.ndarray:
+    # row l is (P_l + (c_l - 1)^2) + Q_l, where P_l and Q_l sum c_k^2 over k < l and
+    # over k > l: O(K) passes, and no subtraction of a total that could cancel
     k = channels.shape[0]
     flat = channels.reshape(k, -1)
+    sq = flat * flat
     table = np.zeros((k + 1, flat.shape[1]))
-    for label in range(k):
-        diff = flat.copy()
-        diff[label] -= 1.0
-        table[label] = np.sum(diff * diff, axis=0)
+    np.cumsum(sq[:-1], axis=0, out=table[1:k])
+    table[:k] += np.square(flat - 1.0)
+    table[:k - 1] += np.cumsum(sq[:0:-1], axis=0)[::-1]
     table.flags.writeable = False
     return table
 
@@ -255,20 +245,25 @@ class SampleGeometry:
 
 
 def _corners(data: np.ndarray, g: SampleGeometry, out=None):
-    """Values of one ``(h, w)`` channel at the four corners of every sample,
-    written into ``out``, ``(4, *g.i00.shape)`` (allocated when None), and
+    """Values of an ``(h, w)`` channel, or of each channel of a ``(K, h, w)``
+    stack, at the four corners of every sample, written into ``out``,
+    ``(4, *g.i00.shape)`` or ``(4, K, *g.i00.shape)`` (allocated when None), and
     returned as its four planes.
 
     The three other corners are read from offset views of the flat data at
-    ``i00``. ``take`` writes into a contiguous ``out`` in place with
-    ``mode="clip"``; the geometry's clamp keeps ``i00`` in range, so nothing is clipped."""
-    if data.shape != g.shape:
+    ``i00``, and for a stack at one flat index ``k*h*w + i00``. ``take`` writes
+    into a contiguous ``out`` in place with ``mode="clip"``; the geometry's clamp
+    keeps ``i00 + w + 1`` inside each channel, so nothing is clipped."""
+    if data.ndim not in (2, 3) or data.shape[-2:] != g.shape:
         raise DomainError(f"sampled data {data.shape} does not match the geometry {g.shape}")
+    index = g.i00
+    if data.ndim == 3:
+        index = np.add.outer(np.arange(0, data.size, data[0].size), g.i00)
     if out is None:
-        out = np.empty((4, *g.i00.shape))
+        out = np.empty((4, *index.shape))
     flat = data.reshape(-1)
     for j, offset in enumerate((0, 1, g.shape[1], g.shape[1] + 1)):
-        flat[offset:].take(g.i00, out=out[j, ...], mode="clip")
+        flat[offset:].take(index, out=out[j, ...], mode="clip")
     # out[j, ...] is an array even for one sample, where out[j] would be a scalar
     return out[0, ...], out[1, ...], out[2, ...], out[3, ...]
 
@@ -291,49 +286,37 @@ def bilinear_sample_with_grad(data: np.ndarray, g: SampleGeometry, out=None,
     return np.add(v00, v10, out=out)
 
 
-def cell_differences(data: np.ndarray):
-    """Read-only ``Dx[i] = f[i+1] - f[i]`` and ``Dy[i] = f[i+w] - f[i]`` over the
-    flat data ``f`` of a ``(h, w)`` channel or of each channel of a ``(K, h, w)`` stack."""
-    w = data.shape[-1]
-    flat = data.reshape(*data.shape[:-2], -1)
-    dx, dy = flat[..., 1:] - flat[..., :-1], flat[..., w:] - flat[..., :-w]
-    dx.flags.writeable = dy.flags.writeable = False
-    return dx, dy
+def bilinear_slopes(data: np.ndarray, g: SampleGeometry, out=None, corners=None):
+    """Derivatives of the bilinear interpolant of ``data``, a channel or a stack
+    as :func:`_corners` takes it, w.r.t. the sample coordinates, as (ddx, ddy);
+    written into ``out[0]`` and ``out[1]`` when given. ``corners`` is the
+    ``(4, ...)`` scratch of :func:`_corners`, as for :func:`bilinear_sample_with_grad`.
 
-
-def bilinear_slopes(diffs, g: SampleGeometry, out=None, scratch=None):
-    """Derivatives of the bilinear interpolant w.r.t. the sample coordinates, as
-    (ddx, ddy), of the channel or, with a leading axis, of each channel of the
-    stack whose :func:`cell_differences` are ``diffs``; written into ``out[0]``
-    and ``out[1]`` when given, with ``scratch``, an array of one output's shape.
-
-    With the corners v00, v01, v10, v11 of :func:`_corners`, ddx = gy * (v01 -
-    v00) + fy * (v11 - v10) and ddy = gx * (v10 - v00) + fx * (v11 - v01): the
-    differences are Dx[i00], Dx[i00 + w], Dy[i00] and Dy[i00 + 1]. A clamped
-    coordinate gets zero derivative; the other axis keeps its own."""
-    dx, dy = diffs
-    h, w = g.shape
-    if dx.shape[-1] != h * w - 1 or dy.shape[-1] != h * w - w:
-        raise DomainError(f"cell differences do not match the geometry {g.shape}")
+    With the corners v00, v01, v10, v11, ddx = (v01 - v00) * gy + (v11 - v10) *
+    fy and ddy = (v10 - v00) * gx + (v11 - v01) * fx. A clamped coordinate gets
+    zero derivative; the other axis keeps its own."""
+    v00, v01, v10, v11 = _corners(data, g, corners)
     if out is None:
-        out = np.empty((2, *dx.shape[:-1], *g.i00.shape))
+        out = np.empty((2, *v00.shape))
     ddx, ddy = out[0, ...], out[1, ...]
-    t = np.empty(ddx.shape) if scratch is None else scratch
-
-    def take(d, offset, dst):  # d[..., offset + i00] into dst, as _corners reads
-        for k in itertools.product(*map(range, d.shape[:-1])):  # np.ndindex costs ~1.5 us
-            d[k][offset:].take(g.i00, out=dst[(*k, ...)], mode="clip")
-        return dst
-    np.multiply(take(dx, 0, ddx), g.gy, out=ddx)
-    ddx += np.multiply(take(dx, w, t), g.fy, out=t)
-    np.multiply(take(dy, 0, ddy), g.gx, out=ddy)
-    ddy += np.multiply(take(dy, 1, t), g.fx, out=t)
-    # times the masks as 1.0/0.0, as float * bool casts them; copyto casts
+    # ddx holds v11 - v01 until it is scaled into ddy; each corner is overwritten
+    # by a difference once nothing else reads it
+    np.subtract(v10, v00, out=ddy)
+    np.subtract(v11, v01, out=ddx)
+    np.subtract(v11, v10, out=v11)
+    np.subtract(v01, v00, out=v01)
+    ddy *= g.gx
+    ddx *= g.fx
+    ddy += ddx
+    np.multiply(v01, g.gy, out=ddx)
+    v11 *= g.fy
+    ddx += v11
+    # times the masks as 1.0/0.0, as float * bool casts them, in v00; copyto casts
     # without the ufunc's buffer
-    np.copyto(t, g.in_x)
-    ddx *= t
-    np.copyto(t, g.in_y)
-    ddy *= t
+    np.copyto(v00, g.in_x)
+    ddx *= v00
+    np.copyto(v00, g.in_y)
+    ddy *= v00
     return ddx, ddy
 
 

@@ -89,6 +89,10 @@ def read_pgm(path) -> Image2D:
 
 
 def write_label_pgm(path, lab: LabelMap):
+    """Label codes verbatim, 8-bit up to 256 classes and 16-bit up to code 65535."""
+    top = int(lab.labels.max(initial=0))
+    if top > 65535:
+        raise DomainError(f"{path}: label code {top} exceeds 65535, the largest a PGM holds")
     maxval = 255 if lab.num_classes <= 256 else 65535
     _write_p5(path, lab.labels.astype(np.int64), maxval)
 

@@ -108,7 +108,8 @@ class LevelBuffers:
         # the displacement, then the sample positions, then the image's slopes
         self.coords = np.empty((2, h, w))
         self.geom = SampleGeometry(self.shape, self.shape)
-        self.corners = np.empty((4, h, w))  # corners, then the warped image, then scratch
+        # the image's corners, then the warped image, then the corners again for its slopes
+        self.corners = np.empty((4, h, w))
         self.c = np.empty((h, w))  # the fixed image's |gF|^2 + eps^2
         self.ngf = np.empty((_NGF_PLANES, h, w))
         self.force = np.empty((h, w, 2))  # D's per-pixel cotangent of the displacement
@@ -119,11 +120,11 @@ class LevelBuffers:
             self.in_band = np.empty(n, dtype=bool)
             self.pixels = np.arange(n)
             self.band_geom = SampleGeometry(self.shape, n)
-            # the warped and fixed samples, their slopes and the slopes' scratch,
-            # and the corners of one channel's samples
+            # the warped and fixed samples, their slopes, and the corners of one
+            # channel's samples, then of the stack's
             self.band_samples = np.empty((2, channels * n))
-            self.band_slopes = np.empty((3, channels * n))
-            self.band_corners = np.empty((4, n))
+            self.band_slopes = np.empty((2, channels * n))
+            self.band_corners = np.empty((4, channels * n))
             self.band_force = np.empty((h, w, 2))  # B's, zero off the band
 
 
@@ -231,8 +232,8 @@ def _image_term(fixed: Image2D, moving: Image2D, geom: SampleGeometry, epsilon: 
 
     def pullback() -> np.ndarray:
         d_grad_warped = ngf_pullback()
-        dmx, dmy = bilinear_slopes(moving.cell_differences, geom, out=work.coords,
-                                   scratch=work.corners[0])
+        # the coordinates and the corners were last read by the forward pass
+        dmx, dmy = bilinear_slopes(moving.data, geom, out=work.coords, corners=work.corners)
         np.multiply(d_grad_warped, dmx, out=work.force[..., 0])
         np.multiply(d_grad_warped, dmy, out=work.force[..., 1])
         return work.force
@@ -275,9 +276,9 @@ def _band_term(fixed_oh: OneHotStack, moving_oh: OneHotStack, geom: SampleGeomet
         grad = diff  # the pullback runs once: scale the difference in place
         grad *= spacing * spacing
         # the slopes are exactly zero off the band, so only band pixels get a force
-        slopes = work.band_slopes[:, :k * nb].reshape(3, k, nb)
-        dkx, dky = bilinear_slopes(moving_oh.cell_differences, band_geom, out=slopes[:2],
-                                   scratch=slopes[2])
+        dkx, dky = bilinear_slopes(moving_oh.channels, band_geom,
+                                   out=work.band_slopes[:, :k * nb].reshape(2, k, nb),
+                                   corners=work.band_corners[:, :k * nb].reshape(4, k, nb))
         work.band_force.fill(0.0)
         pixel_force = work.band_force.reshape(-1, 2)
         for j, slope in enumerate((dkx, dky)):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from defreg.image import (
     bilinear_sample_with_grad,
     bilinear_slopes,
     block_mean,
-    cell_differences,
     central_gradient_raw,
     gradient_adjoint,
     nearest_sample,
@@ -32,8 +33,7 @@ def ramp_x(w=8, h=6, spacing=1.0):
 def bilinear(data, px, py):
     """Values and coordinate derivatives of ``data`` sampled at (px, py)."""
     geom = SampleGeometry(data.shape, np.shape(px)).fill(px, py)
-    return (bilinear_sample_with_grad(data, geom),
-            *bilinear_slopes(cell_differences(data), geom))
+    return bilinear_sample_with_grad(data, geom), *bilinear_slopes(data, geom)
 
 
 def bilinear_at(img, p):
@@ -143,16 +143,16 @@ class TestGeometry:
             np.testing.assert_array_equal(got, ref)
 
     def test_slopes_equal_corner_formula_bit_for_bit(self):
-        """Slopes read from the cell differences equal the interpolant's derivative
-        built from the four corners, bit for bit, for one channel and a stack, with
-        samples clamped on both axes."""
+        """The slopes equal the interpolant's derivative built from the four
+        corners, bit for bit, for one channel and a stack, with samples clamped
+        on both axes."""
         g = self.geom
         assert not g.in_x.all() and not g.in_y.all()
         for data in (self.stack[0], self.stack):
             v00, v01, v10, v11 = self.brute_force_corners(data)
             want_x = (g.gy * (v01 - v00) + g.fy * (v11 - v10)) * g.in_x
             want_y = (g.gx * (v10 - v00) + g.fx * (v11 - v01)) * g.in_y
-            ddx, ddy = bilinear_slopes(cell_differences(data), g)
+            ddx, ddy = bilinear_slopes(data, g)
             assert ddx.shape == ddy.shape == data.shape[:-2] + self.px.shape
             assert ddx.tobytes() == want_x.tobytes()
             assert ddy.tobytes() == want_y.tobytes()
@@ -196,11 +196,35 @@ class TestGeometry:
 
     def test_stacked_slopes_equal_per_channel_calls(self):
         for geom in (self.geom, self.geom.subset(np.arange(0, 35, 3))):
-            ddx, ddy = bilinear_slopes(cell_differences(self.stack), geom)
+            ddx, ddy = bilinear_slopes(self.stack, geom)
             for k, channel in enumerate(self.stack):
-                cx, cy = bilinear_slopes(cell_differences(channel), geom)
+                cx, cy = bilinear_slopes(channel, geom)
                 np.testing.assert_array_equal(ddx[k], cx)
                 np.testing.assert_array_equal(ddy[k], cy)
+
+    def test_stack_gathered_as_its_channels(self):
+        """One gather of a (K, h, w) stack equals K gathers of its channels, and its
+        slopes, written into prefixes of buffers sized for every sample as the band
+        pullback writes them, equal K per-channel calls and the corner formula, bit
+        for bit, at interior and clamped samples."""
+        k, size = len(self.stack), self.px.size
+        assert not self.geom.in_x.all() and not self.geom.in_y.all()
+        for idx in (np.arange(size), np.arange(0, size, 3)):
+            geom, n = self.geom.subset(idx), idx.size
+            corners = _corners(self.stack, geom)
+            for ch, channel in enumerate(self.stack):
+                for got, want in zip(corners, _corners(channel, geom), strict=True):
+                    assert got[ch].tobytes() == want.tobytes()
+            slopes, gathered = (np.full((m, k * size), np.nan)[:, :k * n].reshape(m, k, n)
+                                for m in (2, 4))
+            ddx, ddy = bilinear_slopes(self.stack, geom, out=slopes, corners=gathered)
+            v00, v01, v10, v11 = corners
+            want_x = (geom.gy * (v01 - v00) + geom.fy * (v11 - v10)) * geom.in_x
+            want_y = (geom.gx * (v10 - v00) + geom.fx * (v11 - v01)) * geom.in_y
+            assert ddx.tobytes() == want_x.tobytes() and ddy.tobytes() == want_y.tobytes()
+            for ch, channel in enumerate(self.stack):
+                cx, cy = bilinear_slopes(channel, geom)
+                assert ddx[ch].tobytes() == cx.tobytes() and ddy[ch].tobytes() == cy.tobytes()
 
     def test_sample_coords_equal_meshgrid_form(self):
         u = np.random.default_rng(12).normal(scale=3.0, size=(self.H, self.W, 2))
@@ -459,6 +483,19 @@ class TestOneHotCells:
                 assert table[label, p] == pytest.approx(expected, rel=1e-15)
         assert np.all(table[3] == 0.0)
 
+    def test_label_sq_distances_linear_in_classes(self):
+        """One pixel coded 4000 in a 16 px map makes 4,001 channels; a table built
+        with one copy of the stack per label took 7 s, the table takes O(K) passes."""
+        labels = np.zeros((16, 16), dtype=int)
+        labels[3, 4] = 4000
+        stack = to_one_hot(LabelMap(labels, num_classes=4001))
+        start = time.perf_counter()
+        table = stack.label_sq_distances
+        assert time.perf_counter() - start < 1.0
+        want = np.full((4002, 256), 2.0)
+        want[0, labels.reshape(-1) == 0] = want[4000, 3 * 16 + 4] = want[4001] = 0.0
+        assert table.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_channels_rejected(self, value):
         """A non-finite channel would make the loss and its gradient non-finite."""
@@ -477,9 +514,8 @@ class TestOneHotCells:
 # each immutable container: a factory from its array, the array's field and the
 # arrays it derives from it on first use
 IMMUTABLE = {
-    "OneHotStack": (OneHotStack, "channels",
-                    ("cell_labels", "label_sq_distances", "cell_differences")),
-    "Image2D": (Image2D, "data", ("gradient", "cell_differences")),
+    "OneHotStack": (OneHotStack, "channels", ("cell_labels", "label_sq_distances")),
+    "Image2D": (Image2D, "data", ("gradient",)),
     "LabelMap": (lambda labels: LabelMap(labels, num_classes=2), "labels", ()),
 }
 
@@ -491,7 +527,7 @@ def test_arrays_read_only_and_built_once(kind):
     obj = make(labels if kind == "OneHotStack" else labels[1])
     for name in (field, *derived):
         arr = getattr(obj, name)
-        for a in arr if isinstance(arr, tuple) else (arr,):  # differences and gradient
+        for a in arr if isinstance(arr, tuple) else (arr,):  # the gradient's planes
             assert not a.flags.writeable, name
         assert getattr(obj, name) is arr, name
     with pytest.raises(AttributeError):

@@ -60,6 +60,14 @@ class TestPgm:
         assert np.array_equal(back.labels, lab.labels)
         assert back.num_classes == 4
 
+    def test_label_code_beyond_16_bits_rejected(self, tmp_path):
+        """A code above 65535 wrapped silently: 70000 read back as 4464."""
+        p = tmp_path / "lab.pgm"
+        lab = LabelMap(np.array([[0, 70000], [1, 2]]), num_classes=70001)
+        with pytest.raises(DomainError, match="70000 exceeds 65535"):
+            regio.write_label_pgm(p, lab)
+        assert not p.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.pgm"
         p.write_bytes(b"P2\n2 2\n255\n....")

@@ -37,7 +37,6 @@ from defreg.image import (
     SampleGeometry,
     bilinear_sample_with_grad,
     bilinear_slopes,
-    cell_differences,
     central_gradient_raw,
 )
 from defreg.lossterms import LevelBuffers, _ngf_core, _ssd_core, ngf_integrand
@@ -435,7 +434,7 @@ def _dense_boundary(fixed_oh, moving_oh, grid, spacing):
     warped = np.stack([bilinear_sample_with_grad(ch, geom) for ch in moving_oh.channels])
     value, diff = _ssd_core(fixed_oh.channels, warped, spacing)
     cot = diff * spacing * spacing
-    slopes = [bilinear_slopes(cell_differences(ch), geom) for ch in moving_oh.channels]
+    slopes = [bilinear_slopes(ch, geom) for ch in moving_oh.channels]
     du = np.stack([sum(c * s[0] for c, s in zip(cot, slopes)),
                    sum(c * s[1] for c, s in zip(cot, slopes))], axis=-1)
     return value, splat_to_grid(du, grid), geom

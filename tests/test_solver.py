@@ -277,10 +277,10 @@ class TestOptimizerBehaviour:
             assert calls["central_gradient_raw"] == calls["total_loss"] + taken_before
 
     def test_image_arrays_built_once_per_image_and_freed(self, monkeypatch):
-        """Each level's fixed image takes its gradient once and each moving image its
-        cell differences once per ``register``; the coarse levels' arrays die with
-        the call, and the caller's images keep theirs until they go."""
-        built = {"central_gradient_raw": [], "cell_differences": []}
+        """Each level's fixed image takes its gradient once per ``register``; the
+        coarse levels' arrays die with the call, and the caller's images keep
+        theirs until they go."""
+        built = {"central_gradient_raw": []}
         for name, calls in built.items():
             original = getattr(image, name)
 
@@ -291,7 +291,7 @@ class TestOptimizerBehaviour:
 
             monkeypatch.setattr(image, name, recording)
         pair = small_pair(seed=2, magnitude=2.0)
-        register(pair.fixed_image, pair.moving_image, cfg=FAST)  # no stacks: no stack differences
+        register(pair.fixed_image, pair.moving_image, cfg=FAST)
         gc.collect()
         for name, calls in built.items():
             # one build per level, each on an image of another size

@@ -11,8 +11,9 @@ imports its checkout's ``src/defreg`` and ``make_cases`` from its
 process with the default configuration (``batch_cli``'s without the CLI). It
 prints each pair's wall seconds, ``getrusage`` minor faults (``ru_minflt``) and
 user plus system CPU seconds, the run's peak resident set (``ru_maxrss`` in MB,
-as the benchmark's ``peak_rss_mb``) and one sha256 over the grids and loss
-traces.
+as the benchmark's ``peak_rss_mb``) and one sha256 over the grids and the
+reports (``report_dict()`` as sorted JSON: each level's loss trace, start and
+end terms and termination, and the folding), hashed outside the timed region.
 
 A side's value in a round is the median over its pairs, as the benchmark's
 ``pair_s_p50``, and for RSS the run's peak. For each measure the report gives
@@ -73,7 +74,7 @@ def run_checkout(root: Path, workload: str, seed: int, pairs: int | None) -> dic
         out["faults"].append(after.ru_minflt - before.ru_minflt)
         out["cpu"].append(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
         digest.update(res.grid.coeffs.tobytes())
-        digest.update(repr([t.losses for t in res.level_traces]).encode())
+        digest.update(json.dumps(res.report_dict(), sort_keys=True).encode())
     out["rss"].append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
     return {**out, "sha256": digest.hexdigest()}
 
