@@ -29,6 +29,10 @@ from .lossterms import LevelBuffers, LossWeights, total_loss
 __all__ = ["RegistrationConfig", "LevelTrace", "RegistrationResult", "register", "ablate"]
 
 GRADIENT_TOLERANCE = 1e-6  # relative to the level's initial gradient norm
+# a level has stalled when its last STALL_WINDOW accepted steps together lowered
+# the loss by at most STALL_TOLERANCE of its current value
+STALL_WINDOW = 10
+STALL_TOLERANCE = 1e-3
 ARMIJO_CONSTANT = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 30
@@ -180,6 +184,10 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
                 f0, g = ft, rep.backward()
                 gnorm = gradient_norm(g, it + 1)
                 losses.append(f0)
+                if (len(losses) > STALL_WINDOW
+                        and losses[-1 - STALL_WINDOW] - f0 <= STALL_TOLERANCE * abs(f0)):
+                    termination = "stalled"
+                    break
                 step = 2.0 * t  # warm-start next trial from the last accepted step
     except FloatingPointError as exc:
         raise NumericalError(f"floating-point error: {exc}", level=level, iteration=it,

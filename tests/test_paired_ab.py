@@ -1,9 +1,11 @@
-"""Tests of ``tools/paired_ab.py``: a checkout against itself, and its usage errors."""
+"""Tests of ``tools/paired_ab.py``: a checkout against itself, its warm-up and its usage errors."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +22,10 @@ def test_checkout_against_itself():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(" ")[0] for line in lines if line.startswith("round ")] == ["round"] * 2
+    rounds = [line for line in lines if line.startswith("round ")]
+    assert len(rounds) == 2
+    assert all(re.search(r"; warm-up \d+ pairs, \d+ faults -> \d+ pairs, \d+ faults$", line)
+               for line in rounds), rounds
     for name in ("wall time (s)", "minor faults", "CPU time (s)", "peak RSS (MB)"):
         for side in ("parent", "change"):
             assert sum(line.startswith(f"{name}: {side} median ") for line in lines) == 1
@@ -30,11 +35,43 @@ def test_checkout_against_itself():
     assert lines[-1] == "outputs: identical"
 
 
-def assert_usage_error(argv, monkeypatch, capsys):
-    """Exit 2 with one line on stderr, before any child starts."""
+def load_tool():
     spec = importlib.util.spec_from_file_location("paired_ab", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("faults, pairs", [
+    # the heap grows over the first pairs, then the count holds still
+    ([1505, 682, 168, 100, 74, 2, 1, 0, 0], 8),
+    # a settled count need not be 0
+    ([499, 175, 167, 123, 116, 119, 126, 153], 6),
+    # never settles: the warm-up stops at its cap
+    ([0, 100] * 30, 30),
+])
+def test_warm_up_runs_until_the_faults_settle(faults, pairs, monkeypatch):
+    """The warm-up registers the cases in turn and stops after the first run of
+    ``SETTLED_RUN`` pairs whose fault counts lie within ``SETTLED_SPREAD``, or
+    after ``MAX_WARMUP`` pairs, and returns each pair's faults."""
+    tool = load_tool()
+    assert (tool.SETTLED_RUN, tool.SETTLED_SPREAD, tool.MAX_WARMUP) == (3, 10, 30)
+    total, registered = [0], []
+
+    def register(fixed, moving, sup_fixed, sup_moving, cfg):
+        total[0] += faults[len(registered)]
+        registered.append(fixed)
+
+    monkeypatch.setattr(tool, "minor_faults", lambda: total[0])
+    cases = [SimpleNamespace(fixed=name, moving=name, sup_fixed=None, sup_moving=None)
+             for name in "abc"]
+    assert tool.warm_up(register, cases, None) == faults[:pairs]
+    assert registered == ["abc"[k % 3] for k in range(pairs)]
+
+
+def assert_usage_error(argv, monkeypatch, capsys):
+    """Exit 2 with one line on stderr, before any child starts."""
+    tool = load_tool()
 
     def no_child(*args, **kwargs):
         raise AssertionError("a child was started")

@@ -96,8 +96,35 @@ class TestOptimizerBehaviour:
                        pair.fixed_labels, pair.moving_labels, FAST)
         for trace in res.level_traces:
             assert trace.termination in (
-                "max_iters", "gradient_tolerance", "line_search_failure")
+                "max_iters", "gradient_tolerance", "stalled", "line_search_failure")
             assert len(trace.losses) - 1 <= FAST.max_iters_per_level
+
+    # (seed, labelled, (width, iterations, termination) per level, coarsest first)
+    STALL_CASES = [
+        (1, False, [(16, 100, "max_iters"), (32, 57, "stalled"), (64, 51, "stalled")]),
+        (3, True, [(16, 100, "max_iters"), (32, 100, "max_iters"), (64, 100, "max_iters")]),
+    ]
+
+    @pytest.mark.parametrize("seed, labelled, levels", STALL_CASES)
+    def test_level_ends_at_its_first_stalled_step(self, seed, labelled, levels):
+        """A level ends with ``"stalled"`` at the first accepted step whose last
+        ``STALL_WINDOW`` steps together lowered the loss by at most
+        ``STALL_TOLERANCE`` of its value, and at no other step. Unlabelled, the
+        two finer levels stall; this labelled pair keeps falling to the cap."""
+        pair = small_pair(seed=seed, magnitude=2.0)
+        labels = (pair.fixed_labels, pair.moving_labels) if labelled else (None, None)
+        res = register(pair.fixed_image, pair.moving_image, *labels,
+                       RegistrationConfig(max_iters_per_level=100))
+        assert [(t.width, len(t.losses) - 1, t.termination) for t in res.level_traces] == levels
+        window, tol = solver.STALL_WINDOW, solver.STALL_TOLERANCE
+
+        def stalled(losses):
+            return losses[-1 - window] - losses[-1] <= tol * abs(losses[-1])
+
+        for trace in res.level_traces:
+            assert stalled(trace.losses) == (trace.termination == "stalled")
+            assert not any(stalled(trace.losses[:n])
+                           for n in range(window + 1, len(trace.losses)))
 
     def test_deterministic_across_runs(self):
         pair = small_pair(seed=5, magnitude=2.0, noise=0.02)
@@ -149,29 +176,34 @@ class TestOptimizerBehaviour:
         gc.collect()
         assert all(ref() is None for calls in built.values() for _, ref in calls)
 
-    # (level, iterations, termination, final loss) per level, coarsest first, and
-    # the field's largest |u| in px; recorded with OpenBLAS at 1 and 2 threads
+    # iterations per level, then (level, iterations, termination, final loss) per
+    # level, coarsest first, and the field's largest |u| in px; recorded with
+    # OpenBLAS at 1 and 2 threads
     FINGERPRINT = {
-        "labels": ([(2, 20, "max_iters", 415957.1236093721),
-                    (1, 20, "max_iters", 562844.3295163845),
-                    (0, 20, "max_iters", 335944.6519081617)], 1.232808747101605),
-        "unlabelled": ([(2, 20, "max_iters", 2.169060023379996),
-                        (1, 20, "max_iters", 3.0217175948051223),
-                        (0, 20, "max_iters", 4.674796375254185)], 1.0099321801562393),
+        "labels": (20, [(2, 20, "max_iters", 415957.1236093721),
+                        (1, 20, "max_iters", 562844.3295163845),
+                        (0, 20, "max_iters", 335944.6519081617)], 1.232808747101605),
+        "unlabelled": (20, [(2, 20, "max_iters", 2.169060023379996),
+                            (1, 20, "max_iters", 3.0217175948051223),
+                            (0, 20, "max_iters", 4.674796375254185)], 1.0099321801562393),
+        # long enough for two levels to stall
+        "unlabelled100": (100, [(2, 100, "max_iters", 2.061744939228481),
+                                (1, 57, "stalled", 2.9069015478986167),
+                                (0, 51, "stalled", 4.48406308192163)], 1.0916318569012546),
     }
 
     @pytest.mark.parametrize("case", sorted(FINGERPRINT))
     def test_policy_fingerprint(self, case):
         """The solver's behaviour on one fixed pair. The Armijo constant, the
-        backtracking factor, the warm start and the prolongation each move a
-        final loss here by far more than the tolerance
-        (``tools/solver_mutants.py``). A change that moves them by design
-        records the new values and why."""
+        backtracking factor, the warm start, the prolongation and the stall
+        window and tolerance each move a final loss or a level's end here by far
+        more than the tolerance (``tools/solver_mutants.py``). A change that
+        moves them by design records the new values and why."""
         pair = small_pair(seed=1, magnitude=2.0)
         labels = (pair.fixed_labels, pair.moving_labels) if case == "labels" else (None, None)
+        iterations, levels, max_u = self.FINGERPRINT[case]
         res = register(pair.fixed_image, pair.moving_image, *labels,
-                       RegistrationConfig(max_iters_per_level=20))
-        levels, max_u = self.FINGERPRINT[case]
+                       RegistrationConfig(max_iters_per_level=iterations))
         assert [(t.level, len(t.losses) - 1, t.termination) for t in res.level_traces] == \
             [level[:3] for level in levels]
         for trace, level in zip(res.level_traces, levels):
@@ -186,7 +218,7 @@ class TestOptimizerBehaviour:
         proc = subprocess.run([sys.executable, str(root / "tools" / "solver_mutants.py"),
                                str(root)], capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.count("killed: ") == 4, proc.stdout
+        assert proc.stdout.count("killed: ") == 6, proc.stdout
 
     @pytest.mark.parametrize("epsilon", [0.1, 1e10])
     def test_report_shows_an_inert_distance(self, epsilon):

@@ -7,13 +7,19 @@ minor page faults and CPU time per pair, and peak RSS per run.
 ``PARENT`` and ``CHANGE`` are the roots of two checkouts. Each round runs each
 checkout once in a fresh interpreter, alternating which runs first. A run
 imports its checkout's ``src/defreg`` and ``make_cases`` from its
-``perfbench/run.py``, registers one warm-up pair, then the workload's pairs in
-process with the default configuration (``batch_cli``'s without the CLI). It
-prints each pair's wall seconds, ``getrusage`` minor faults (``ru_minflt``) and
-user plus system CPU seconds, the run's peak resident set (``ru_maxrss`` in MB,
-as the benchmark's ``peak_rss_mb``) and one sha256 over the grids and the
-reports (``report_dict()`` as sorted JSON: each level's loss trace, start and
-end terms and termination, and the folding), hashed outside the timed region.
+``perfbench/run.py`` and registers the workload's pairs in process with the
+default configuration (``batch_cli``'s without the CLI). It first warms up:
+glibc's heap grows over the first pairs of an interpreter, which take hundreds
+to over a thousand minor faults each, so it registers the pairs in turn until
+the minor-fault counts of ``SETTLED_RUN`` successive pairs differ by at most
+``SETTLED_SPREAD`` (they settle from about the seventh pair), or for
+``MAX_WARMUP`` pairs. It then measures the pairs once more and prints each
+pair's wall seconds, ``getrusage`` minor faults (``ru_minflt``) and user plus
+system CPU seconds, the run's peak resident set (``ru_maxrss`` in MB, as the
+benchmark's ``peak_rss_mb``), the warm-up's pair count and minor faults, and
+one sha256 over the measured grids and reports (``report_dict()`` as sorted
+JSON: each level's loss trace, start and end terms and termination, and the
+folding), hashed outside the timed region.
 
 A side's value in a round is the median over its pairs, as the benchmark's
 ``pair_s_p50``, and for RSS the run's peak. For each measure the report gives
@@ -22,8 +28,9 @@ value was lower (a tie counts for neither side), the median of the per-round
 ratios change/parent (over rounds where the parent's is not 0), and a verdict:
 ``gain`` only when the change was lower in at least nine rounds and nine tenths
 of them and its median is below the parent's by more than the parent's
-interquartile range, otherwise ``unresolved``. Last it says whether every run
-gave the same digest.
+interquartile range, otherwise ``unresolved``. Each round's line also gives
+both sides' warm-up pairs and faults, which no verdict reads. Last it says
+whether every run gave the same digest.
 
 Fault counts follow the memory layout, which follows the string hash seed
 (children inherit the caller's environment; set ``PYTHONHASHSEED`` to fix it)
@@ -48,23 +55,51 @@ from pathlib import Path
 # the measures a run reports, per pair (RSS once per run): key, name in the report, format
 MEASURES = (("seconds", "wall time (s)", ".4f"), ("faults", "minor faults", ".1f"),
             ("cpu", "CPU time (s)", ".4f"), ("rss", "peak RSS (MB)", ".1f"))
+# the warm-up ends once SETTLED_RUN successive pairs' minor-fault counts differ
+# by at most SETTLED_SPREAD, or after MAX_WARMUP pairs; the settled count need
+# not be 0 (one weak64 pair repeated settles at 116-161 faults)
+SETTLED_RUN = 3
+SETTLED_SPREAD = 10
+MAX_WARMUP = 30
 
 
-def run_checkout(root: Path, workload: str, seed: int, pairs: int | None) -> dict:
-    """In a fresh interpreter: measure the workload's pairs with ``root``'s defreg."""
+def load_checkout(root: Path, workload: str, seed: int, pairs: int | None):
+    """Import ``root``'s defreg into this interpreter; return it and the workload's
+    cases, built by ``root``'s ``perfbench/run.py``."""
     sys.path.insert(0, str(root / "src"))
     import defreg
-    from defreg import RegistrationConfig, register
 
     if Path(defreg.__file__).resolve().parent != (root / "src" / "defreg").resolve():
         raise SystemExit(f"imported defreg from {defreg.__file__}, not from {root / 'src'}")
     spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
     bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)  # its dataclasses look their module up by name
-    cases = bench.make_cases(workload, seed, bench.DEFAULT_SIZE[workload],
-                             pairs or bench.DEFAULT_PAIRS[workload])
-    cfg, warm = RegistrationConfig(), cases[0]
-    register(warm.fixed, warm.moving, warm.sup_fixed, warm.sup_moving, cfg)
+    return defreg, bench.make_cases(workload, seed, bench.DEFAULT_SIZE[workload],
+                                    pairs or bench.DEFAULT_PAIRS[workload])
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def warm_up(register, cases, cfg) -> list:
+    """Register the cases in turn until the per-pair minor-fault count settles;
+    return each warm-up pair's faults."""
+    faults = []
+    while len(faults) < MAX_WARMUP and not (
+            len(faults) >= SETTLED_RUN
+            and max(faults[-SETTLED_RUN:]) - min(faults[-SETTLED_RUN:]) <= SETTLED_SPREAD):
+        case, before = cases[len(faults) % len(cases)], minor_faults()
+        register(case.fixed, case.moving, case.sup_fixed, case.sup_moving, cfg)
+        faults.append(minor_faults() - before)
+    return faults
+
+
+def run_checkout(root: Path, workload: str, seed: int, pairs: int | None) -> dict:
+    """In a fresh interpreter: measure the workload's pairs with ``root``'s defreg."""
+    defreg, cases = load_checkout(root, workload, seed, pairs)
+    register, cfg = defreg.register, defreg.RegistrationConfig()
+    warmup = warm_up(register, cases, cfg)
     digest, out = hashlib.sha256(), {key: [] for key, _, _ in MEASURES}
     for case in cases:
         before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
@@ -76,11 +111,13 @@ def run_checkout(root: Path, workload: str, seed: int, pairs: int | None) -> dic
         digest.update(res.grid.coeffs.tobytes())
         digest.update(json.dumps(res.report_dict(), sort_keys=True).encode())
     out["rss"].append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
-    return {**out, "sha256": digest.hexdigest()}
+    return {**out, "warmup_faults": warmup, "sha256": digest.hexdigest()}
 
 
-def run_side(root: Path, args) -> dict:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--run", str(root),
+def run_side(root: Path, args, script: str = __file__):
+    """Run ``script --run root`` with ``args``' workload, seed and pairs in a fresh
+    interpreter; return the JSON value its last stdout line holds."""
+    cmd = [sys.executable, str(Path(script).resolve()), "--run", str(root),
            "--workload", args.workload, "--seed", str(args.seed)]
     if args.pairs is not None:
         cmd += ["--pairs", str(args.pairs)]
@@ -111,7 +148,7 @@ def report(name: str, fmt: str, parent: list, change: list) -> None:
 def compare(args) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     rounds = {key: {"parent": [], "change": []} for key, _, _ in MEASURES}
-    digests = set()
+    warmups, digests = {}, set()
     print(f"workload {args.workload}, seed {args.seed}, {args.rounds} rounds; a round's "
           "value is the median per pair", flush=True)
     for r in range(args.rounds):
@@ -124,10 +161,13 @@ def compare(args) -> int:
                 return 1
             for key, values in rounds.items():
                 values[side].append(statistics.median(out[key]))
+            warmups[side] = out["warmup_faults"]
             digests.add(out["sha256"])
         print(f"round {r + 1} ({order[0]} first), parent -> change: " + "; ".join(
             f"{name} {rounds[key]['parent'][-1]:{fmt}} -> {rounds[key]['change'][-1]:{fmt}}"
-            for key, name, fmt in MEASURES), flush=True)
+            for key, name, fmt in MEASURES) + "; warm-up " + " -> ".join(
+            f"{len(warmups[side])} pairs, {sum(warmups[side])} faults"
+            for side in ("parent", "change")), flush=True)
     for key, name, fmt in MEASURES:
         report(name, fmt, rounds[key]["parent"], rounds[key]["change"])
     print("outputs: " + ("identical" if len(digests) == 1 else "differ"))

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that the solver-policy fingerprint test notices each of four small
+"""Check that the solver-policy fingerprint test notices each of six small
 changes to the solver's policy.
 
     python3 tools/solver_mutants.py [ROOT]
@@ -30,6 +30,8 @@ MUTANTS = {
     "armijo constant 1e-4 -> 1e-2": (SOLVER, "ARMIJO_CONSTANT = 1e-4", "ARMIJO_CONSTANT = 1e-2"),
     "warm start 2.0*t -> 1.5*t": (SOLVER, "step = 2.0 * t", "step = 1.5 * t"),
     "backtrack factor 0.5 -> 0.6": (SOLVER, "BACKTRACK_FACTOR = 0.5", "BACKTRACK_FACTOR = 0.6"),
+    "stall window 10 -> 5": (SOLVER, "STALL_WINDOW = 10", "STALL_WINDOW = 5"),
+    "stall tolerance 1e-3 -> 1e-4": (SOLVER, "STALL_TOLERANCE = 1e-3", "STALL_TOLERANCE = 1e-4"),
     "prolongation 2.0*fine -> 1.9*fine": ("src/defreg/bspline.py",
                                           "ControlGrid(grid.spacing_px, 2.0 * fine)",
                                           "ControlGrid(grid.spacing_px, 1.9 * fine)"),
