@@ -20,12 +20,10 @@ with one line and before any run, on a usage error.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
 
-from paired_ab import Parser, load_checkout, run_side
+from paired_ab import checkout_parser, load_checkout, parse_args, run_side
 
 COUNTS = ("evaluations", "backward passes", "iterations")
 
@@ -100,26 +98,7 @@ def compare(args) -> int:
 
 
 def main(argv=None):
-    p = Parser(description=__doc__.splitlines()[0])
-    p.add_argument("parent", type=Path, nargs="?")
-    p.add_argument("change", type=Path, nargs="?")
-    p.add_argument("--workload", required=True, choices=("recovery112", "weak64", "batch_cli"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=None, help="pairs per run (the workload's)")
-    p.add_argument("--run", type=Path, help=argparse.SUPPRESS)  # one side, in a child
-    args = p.parse_args(argv)
-    if args.seed < 0 or (args.pairs is not None and args.pairs < 1):
-        p.error("give a seed of at least 0 and at least 1 pair")
-    if args.run is not None:
-        print(json.dumps(count_checkout(args.run.resolve(), args.workload, args.seed,
-                                        args.pairs)))
-        return 0
-    if args.parent is None or args.change is None:
-        p.error("give PARENT and CHANGE")
-    for root in (args.parent, args.change):
-        if not (root / "src" / "defreg").is_dir() or not (root / "perfbench" / "run.py").is_file():
-            p.error(f"{root} is not the root of a defreg checkout")
-    return compare(args)
+    return compare(parse_args(checkout_parser(__doc__.splitlines()[0]), argv, count_checkout))
 
 
 if __name__ == "__main__":

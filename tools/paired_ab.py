@@ -181,26 +181,44 @@ class Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None):
-    p = Parser(description=__doc__.splitlines()[0])
+def checkout_parser(description: str) -> Parser:
+    """A parser of ``PARENT CHANGE --workload W [--seed S] [--pairs N]`` and of the
+    hidden ``--run ROOT`` that runs one side in a child."""
+    p = Parser(description=description)
     p.add_argument("parent", type=Path, nargs="?")
     p.add_argument("change", type=Path, nargs="?")
     p.add_argument("--workload", required=True, choices=("recovery112", "weak64", "batch_cli"))
-    p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int, default=None, help="pairs per run (the workload's)")
     p.add_argument("--run", type=Path, help=argparse.SUPPRESS)  # one side, in a child
+    return p
+
+
+def parse_args(p: Parser, argv, run):
+    """Parse ``argv`` with ``p`` (from :func:`checkout_parser`). In a child, print
+    ``run(ROOT, workload, seed, pairs)`` as JSON and exit 0; otherwise check that
+    PARENT and CHANGE are checkouts and return the arguments. A usage error exits
+    2 with one line."""
     args = p.parse_args(argv)
-    if args.rounds < 2 or args.seed < 0 or (args.pairs is not None and args.pairs < 1):
-        p.error("give at least 2 rounds, a seed of at least 0 and at least 1 pair")
+    if args.seed < 0 or (args.pairs is not None and args.pairs < 1):
+        p.error("give a seed of at least 0 and at least 1 pair")
     if args.run is not None:
-        print(json.dumps(run_checkout(args.run.resolve(), args.workload, args.seed, args.pairs)))
-        return 0
+        print(json.dumps(run(args.run.resolve(), args.workload, args.seed, args.pairs)))
+        raise SystemExit(0)
     if args.parent is None or args.change is None:
         p.error("give PARENT and CHANGE")
     for root in (args.parent, args.change):
         if not (root / "src" / "defreg").is_dir() or not (root / "perfbench" / "run.py").is_file():
             p.error(f"{root} is not the root of a defreg checkout")
+    return args
+
+
+def main(argv=None):
+    p = checkout_parser(__doc__.splitlines()[0])
+    p.add_argument("--rounds", type=int, default=10)
+    args = parse_args(p, argv, run_checkout)
+    if args.rounds < 2:
+        p.error("give at least 2 rounds")
     lengths = [len(str(root.resolve())) for root in (args.parent, args.change)]
     if lengths[0] != lengths[1]:
         p.error(f"PARENT and CHANGE resolve to paths of {lengths[0]} and {lengths[1]} "
