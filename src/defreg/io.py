@@ -72,6 +72,9 @@ def _read_p5(path):
         raise DomainError(f"{path}: truncated PGM: header promises {expected} "
                           f"payload bytes, file holds {actual}")
     data = np.frombuffer(blob, dtype=dtype, count=w * h, offset=pos)
+    top = int(data.max())
+    if top > maxval:
+        raise DomainError(f"{path}: PGM sample {top} exceeds the header's maxval {maxval}")
     return data.reshape(h, w).astype(np.int64), maxval
 
 

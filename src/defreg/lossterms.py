@@ -306,15 +306,15 @@ def total_loss(fixed: Image2D, moving: Image2D,
     shared buffers must run its backward pass before the next evaluation
     through them. What depends on one image or stack alone is its property.
 
-    With beta = 0 (or stacks absent) the boundary term is skipped entirely;
+    With beta = 0 (or both stacks absent) the boundary term is skipped entirely;
     with delta = 0 the image distance is skipped, leaving the purely
     label-driven loss.
     """
     if fixed.data.shape != moving.data.shape:
         raise DomainError("total_loss: fixed/moving dimensions differ")
     use_boundary = w.beta != 0.0 and fixed_oh is not None
-    if use_boundary and moving_oh is None:
-        raise DomainError("total_loss: fixed one-hot supplied without moving one-hot")
+    if w.beta != 0.0 and (moving_oh is None) != (fixed_oh is None):
+        raise DomainError("total_loss: one one-hot stack supplied without the other")
     if use_boundary and fixed_oh.channels.shape != moving_oh.channels.shape:
         raise DomainError("total_loss: one-hot channel mismatch")
     if use_boundary and moving_oh.channels.shape[1:] != moving.data.shape:

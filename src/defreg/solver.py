@@ -28,7 +28,6 @@ from .lossterms import LevelBuffers, LossWeights, total_loss
 
 __all__ = ["RegistrationConfig", "LevelTrace", "RegistrationResult", "register", "ablate"]
 
-GRADIENT_TOLERANCE = 1e-6  # relative to the level's initial gradient norm
 # a level has stalled when its last STALL_WINDOW accepted steps together lowered
 # the loss by at most STALL_TOLERANCE of its current value
 STALL_WINDOW = 10
@@ -88,23 +87,10 @@ class RegistrationResult:
 
     def report_dict(self):
         """Deterministic report payload; wall-clock time deliberately excluded."""
-        final = self.level_traces[-1].losses[-1] if self.level_traces else None
         return {
             "config": asdict(self.config),
-            "levels": [
-                {
-                    "level": t.level,
-                    "width": t.width,
-                    "height": t.height,
-                    "iterations": len(t.losses) - 1,
-                    "termination": t.termination,
-                    "losses": t.losses,
-                    "start": t.start,
-                    "end": t.end,
-                }
-                for t in self.level_traces
-            ],
-            "final_loss": final,
+            "levels": [{**asdict(t), "iterations": len(t.losses) - 1} for t in self.level_traces],
+            "final_loss": self.level_traces[-1].losses[-1],
             "folding_fraction": self.quality.folding_fraction,
         }
 
@@ -129,7 +115,8 @@ def _terms(rep) -> dict:
 
 
 def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
-    """Armijo-backtracking gradient descent on the coefficients of one level."""
+    """Armijo-backtracking gradient descent on the coefficients of one level: the
+    solved grid and the level's trace."""
     w = cfg.weights
     coeffs = grid.coeffs.copy()
     # every evaluation of this level writes into these; a report's backward pass
@@ -160,13 +147,10 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
             f0 = check(rep.total, "non-finite loss at level start", 0)
             g = rep.backward()
             losses, start = [f0], _terms(rep)
-            gnorm0 = gnorm = gradient_norm(g, 0)
+            gnorm = gradient_norm(g, 0)
             step = 1.0 / (float(np.abs(g).max()) + 1e-12)
             termination = "max_iters"
             for it in range(cfg.max_iters_per_level):
-                if gnorm <= GRADIENT_TOLERANCE * gnorm0:
-                    termination = "gradient_tolerance"
-                    break
                 gg = gnorm * gnorm
                 t = step
                 for _ in range(MAX_BACKTRACKS + 1):
@@ -192,7 +176,9 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
     except FloatingPointError as exc:
         raise NumericalError(f"floating-point error: {exc}", level=level, iteration=it,
                              weights=asdict(w)) from None
-    return ControlGrid(grid.spacing_px, coeffs), losses, termination, start, _terms(accepted)
+    trace = LevelTrace(level=level, width=fixed.width, height=fixed.height, losses=losses,
+                       termination=termination, start=start, end=_terms(accepted))
+    return ControlGrid(grid.spacing_px, coeffs), trace
 
 
 def register(fixed: Image2D, moving: Image2D,
@@ -252,10 +238,9 @@ def register(fixed: Image2D, moving: Image2D,
             grid = make_grid(f_l.width, f_l.height, spacing_px)
         else:
             grid = prolongate(grid, f_l.width, f_l.height)
-        grid, losses, termination, first, last = _solve_level(
-            f_l, m_l, fixed_oh_pyr[level], moving_oh_pyr[level], grid, level_cfg, level)
-        traces.append(LevelTrace(level=level, width=f_l.width, height=f_l.height,
-                                 losses=losses, termination=termination, start=first, end=last))
+        grid, trace = _solve_level(f_l, m_l, fixed_oh_pyr[level], moving_oh_pyr[level], grid,
+                                   level_cfg, level)
+        traces.append(trace)
 
     duration = time.perf_counter() - start
     return RegistrationResult(grid=grid, level_traces=traces, duration_s=duration, config=cfg,

@@ -78,6 +78,14 @@ class TestPgm:
         with pytest.raises(DomainError):
             regio.write_pgm(tmp_path / "a.pgm", Image2D(np.zeros((4, 4))), maxval=100)
 
+    def test_label_sample_above_maxval_rejected(self, tmp_path):
+        """Under maxval 3 a sample 255 gave 256 classes (``BAD_INPUTS`` has the
+        intensity read)."""
+        p = tmp_path / "over.pgm"
+        p.write_bytes(b"P5\n2 2\n3\n" + bytes([0, 9, 2, 255]))
+        with pytest.raises(DomainError, match="sample 255 exceeds the header's maxval 3"):
+            regio.read_label_pgm(p)
+
     def test_header_comment_tolerated(self, tmp_path):
         payload = bytes(range(4))
         p = tmp_path / "c.pgm"
@@ -427,6 +435,7 @@ def bad_inputs(tmp_path):
     (tmp_path / "bad.pgm").write_bytes(b"P5\nab 3\n255\n")
     (tmp_path / "negative.pgm").write_bytes(b"P5\n-1 2\n255\nabcd")
     (tmp_path / "zero.pgm").write_bytes(b"P5\n2 2\n0\n" + bytes(4))
+    (tmp_path / "over.pgm").write_bytes(b"P5\n2 2\n3\n" + bytes([0, 9, 2, 255]))
     return tmp_path
 
 
@@ -477,6 +486,8 @@ BAD_INPUTS = {
     "pgm_negative_width": ["diff", "--a", "{d}/negative.pgm", "--b", "{d}/negative.pgm",
                            "--out", "{d}/d.pgm"],
     "pgm_zero_maxval": ["diff", "--a", "{d}/zero.pgm", "--b", "{d}/zero.pgm", "--out", "{d}/d.pgm"],
+    "pgm_sample_above_maxval": ["diff", "--a", "{d}/over.pgm", "--b", "{d}/over.pgm",
+                                "--out", "{d}/d.pgm"],
     "register_spacings_differ": ["register", "--fixed", "{d}/img.raw",
                                  "--moving", "{d}/spacing3.raw", "--out", "{d}/out"],
     "spacing_inf": [*REGISTER_PAIR, "--spacing", "inf"],
@@ -497,7 +508,8 @@ BAD_INPUTS = {
 # the process environment of a case, beyond PYTHONPATH
 BAD_ENV = {"seed_env_not_int": {"REGVAR_SEED": "abc"}, "seed_env_negative": {"REGVAR_SEED": "-3"}}
 # the setting a case's message must name, where another setting's message was printed
-BAD_NAMES = {"config_weight_infinite": "alpha", "levels_past_one_pixel": "num_levels"}
+BAD_NAMES = {"config_weight_infinite": "alpha", "levels_past_one_pixel": "num_levels",
+             "pgm_sample_above_maxval": "over.pgm: PGM sample 255 exceeds the header's maxval 3"}
 
 
 def _cli_env(**extra):

@@ -383,6 +383,12 @@ class TestTotalLoss:
         with pytest.raises(DomainError):
             total_loss(fixed, moving, foh, None, grid, LossWeights())
 
+    def test_missing_fixed_stack_rejected(self):
+        """A moving stack without a fixed one is an error, not a run without B."""
+        fixed, moving, _, moh, grid = _random_problem(9)
+        with pytest.raises(DomainError):
+            total_loss(fixed, moving, None, moh, grid, LossWeights())
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradient_matches_finite_differences(self, seed):
         fixed, moving, foh, moh, grid = _random_problem(seed)

@@ -7,10 +7,12 @@ and level, the loss evaluations, backward passes, iterations and termination.
 ``PARENT`` and ``CHANGE`` are the roots of two checkouts. Each runs once in a
 fresh interpreter, which imports its ``src/defreg`` and the workload's cases
 from its ``perfbench/run.py`` (as ``tools/paired_ab.py`` does) and registers
-every pair in process with the default configuration. The counts come from
-wrapping ``defreg.solver.total_loss``: each call is one loss evaluation, and
-each first ``backward()`` of a report it returned is one backward pass. Unlike
-times, the counts repeat exactly from run to run, so one run per side suffices.
+every pair in process with the default configuration. Loss evaluations are
+counted by wrapping ``defreg.solver.total_loss``: each call is one. The rest
+comes from each level's trace: a level runs one backward pass at its start and
+one per accepted step, so it runs ``len(losses)`` backward passes in
+``len(losses) - 1`` iterations. Unlike times, the counts repeat exactly from run
+to run, so one run per side suffices.
 
 It prints, for each pair and level (coarsest first), both sides' counts and
 the change's differences, then each side's total over the pairs and the mean
@@ -36,19 +38,9 @@ def count_checkout(root: Path, workload: str, seed: int, pairs: int | None) -> l
 
     def counting_total_loss(fixed, *args, **kwargs):
         if not levels or levels[-1]["shape"] != fixed.data.shape:
-            levels.append({"shape": fixed.data.shape, "evaluations": 0, "backward passes": 0})
-        level = levels[-1]
-        level["evaluations"] += 1
-        rep = original(fixed, *args, **kwargs)
-        backward = rep.backward
-
-        def counting_backward():
-            if rep.pullback is not None:  # a second call only returns the gradient
-                level["backward passes"] += 1
-            return backward()
-
-        rep.backward = counting_backward
-        return rep
+            levels.append({"shape": fixed.data.shape, "evaluations": 0})
+        levels[-1]["evaluations"] += 1
+        return original(fixed, *args, **kwargs)
 
     solver.total_loss = counting_total_loss
     out = []
@@ -60,7 +52,7 @@ def count_checkout(root: Path, workload: str, seed: int, pairs: int | None) -> l
                              f"registered {len(res.level_traces)}")
         out.append({"pid": case.pid, "levels": [
             {"level": t.level, "width": t.width, "evaluations": n["evaluations"],
-             "backward passes": n["backward passes"], "iterations": len(t.losses) - 1,
+             "backward passes": len(t.losses), "iterations": len(t.losses) - 1,
              "termination": t.termination}
             for t, n in zip(res.level_traces, levels)]})
     return out
