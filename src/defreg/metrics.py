@@ -59,4 +59,6 @@ def difference_image(a: Image2D, b: Image2D) -> Image2D:
     """(a - b) mapped from [-1, 1] to [0, 1]; 0.5 (grey) means equal pixels."""
     if a.data.shape != b.data.shape:
         raise DomainError("difference_image: dimensions differ")
+    if a.spacing != b.spacing:
+        raise DomainError(f"difference_image: spacings {a.spacing} and {b.spacing} differ")
     return Image2D(np.clip((a.data - b.data + 1.0) / 2.0, 0.0, 1.0), spacing=a.spacing)

@@ -63,6 +63,7 @@ class LevelTrace:
     # accepted point: a term that reads 0 at both did nothing at this level
     start: dict
     end: dict
+    evaluations: int  # forward passes: the level's start plus every line-search trial
 
 
 @dataclass
@@ -122,8 +123,11 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
     # every evaluation of this level writes into these; a report's backward pass
     # runs before the next evaluation
     work = LevelBuffers(fixed.data.shape, 0 if moving_oh is None else len(moving_oh.channels))
+    evaluations = 0
 
     def forward(c):
+        nonlocal evaluations
+        evaluations += 1
         return total_loss(fixed, moving, fixed_oh, moving_oh,
                           ControlGrid(grid.spacing_px, c), w, with_grad=False, work=work)
 
@@ -177,7 +181,8 @@ def _solve_level(fixed, moving, fixed_oh, moving_oh, grid, cfg, level):
         raise NumericalError(f"floating-point error: {exc}", level=level, iteration=it,
                              weights=asdict(w)) from None
     trace = LevelTrace(level=level, width=fixed.width, height=fixed.height, losses=losses,
-                       termination=termination, start=start, end=_terms(accepted))
+                       termination=termination, start=start, end=_terms(accepted),
+                       evaluations=evaluations)
     return ControlGrid(grid.spacing_px, coeffs), trace
 
 

@@ -490,6 +490,8 @@ BAD_INPUTS = {
                                 "--out", "{d}/d.pgm"],
     "register_spacings_differ": ["register", "--fixed", "{d}/img.raw",
                                  "--moving", "{d}/spacing3.raw", "--out", "{d}/out"],
+    "diff_spacings_differ": ["diff", "--a", "{d}/img.raw", "--b", "{d}/spacing3.raw",
+                             "--out", "{d}/d.pgm"],
     "spacing_inf": [*REGISTER_PAIR, "--spacing", "inf"],
     "spacing_nan": [*REGISTER_PAIR, "--spacing", "nan"],
     "spacing_sub_pixel": [*REGISTER_PAIR, "--spacing", "1e-9"],
@@ -509,7 +511,8 @@ BAD_INPUTS = {
 BAD_ENV = {"seed_env_not_int": {"REGVAR_SEED": "abc"}, "seed_env_negative": {"REGVAR_SEED": "-3"}}
 # the setting a case's message must name, where another setting's message was printed
 BAD_NAMES = {"config_weight_infinite": "alpha", "levels_past_one_pixel": "num_levels",
-             "pgm_sample_above_maxval": "over.pgm: PGM sample 255 exceeds the header's maxval 3"}
+             "pgm_sample_above_maxval": "over.pgm: PGM sample 255 exceeds the header's maxval 3",
+             "diff_spacings_differ": "spacings 1.0 and 3.0 differ"}
 
 
 def _cli_env(**extra):
@@ -729,7 +732,8 @@ def test_weak_supervision_ablate_matches_in_process(weak_manifest, tmp_path, par
 
 # ---------------------------------------------------------------------------
 # generated inputs: a valid labelled register run on 8-16 px images, one level
-# and 1-3 iterations, with one to three of its inputs mutated
+# and 1-3 iterations, or a valid eval or diff run on the same files and a field,
+# with one to three of its inputs mutated
 
 _ODD_JSON = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324, 1e-300,
@@ -743,7 +747,7 @@ _ODD_FLAG = st.one_of(
                      "-0", "0", "1", "2", "0x10", "1_0", "", "x", " 1", "1e3", "-1"]),
     st.floats().map(repr), st.integers(-3, 20).map(str))
 _TARGETS = st.sampled_from(["fixed", "moving", "both"])
-_MUTATIONS = st.one_of(
+_FILE_MUTATIONS = st.one_of(
     st.tuples(st.just("sidecar"), _TARGETS,
               st.sampled_from(["width", "height", "spacing", "kind", "extra"]), _ODD_JSON),
     st.tuples(st.just("raw_length"), _TARGETS, st.integers(-8, 8)),
@@ -758,19 +762,27 @@ _MUTATIONS = st.one_of(
               st.one_of(_ODD_JSON, st.sampled_from(["", ".", "..", "a/b", "x" * 300, "a\nb",
                                                     "fixed.raw", "fixed_labels.pgm",
                                                     "missing.raw", "manifest.json"]))),
-    st.tuples(st.just("manifest"), _ODD_JSON),
+    st.tuples(st.just("manifest"), _ODD_JSON))
+_MUTATIONS = st.one_of(
+    _FILE_MUTATIONS,
     st.tuples(st.just("config"), st.sampled_from([*DEFAULTS, "extra"]), _ODD_JSON),
     st.tuples(st.just("config_file"), _ODD_JSON),
     st.tuples(st.just("flag"), st.sampled_from(["--delta", "--alpha", "--beta", "--epsilon",
                                                 "--spacing", "--levels"]), _ODD_FLAG),
     st.tuples(st.just("flag"), st.just("--max-iters"),
               st.sampled_from(["-1", "0", "1", "3", "1.5", "x", "", "nan"])))
+# eval reads the field too, which register writes and never reads
+_EVAL_MUTATIONS = st.one_of(
+    _FILE_MUTATIONS,
+    st.tuples(st.just("sidecar"), st.just("field"),
+              st.sampled_from(["width", "height", "spacing_px", "kind", "extra"]), _ODD_JSON),
+    st.tuples(st.just("raw_length"), st.just("field"), st.integers(-8, 8)))
 
 
 def _mutated_inputs(d, size, seed, mutations):
     """Write a labelled pair of ``size`` px raw images and label PGMs, a one-entry
-    manifest and a config file into ``d`` with ``mutations`` applied; return the
-    extra register flags the mutations give."""
+    manifest, a config file and the entry's field ``p0/field.raw`` into ``d`` with
+    ``mutations`` applied; return the extra register flags the mutations give."""
     rng = np.random.default_rng(seed)
     both = ("fixed", "moving")
     raws = {n: rng.random((size, size)).astype("<f4").tobytes() for n in both}
@@ -778,6 +790,8 @@ def _mutated_inputs(d, size, seed, mutations):
     tokens = {n: [b"P5", b"%d" % size, b"%d" % size, b"255"] for n in both}
     bodies = {n: bytearray(rng.integers(0, 4, size * size).astype(np.uint8).tobytes())
               for n in both}
+    raws["field"] = (2.0 * rng.standard_normal((size, size, 2))).astype("<f4").tobytes()
+    sidecars["field"] = {"kind": "field", "width": size, "height": size, "spacing_px": 1.0}
     entry = {"id": "p0", "fixed_image": "fixed.raw", "moving_image": "moving.raw",
              "fixed_labels": "fixed_labels.pgm", "moving_labels": "moving_labels.pgm"}
     manifest, config, flags = [entry], {"delta": 1.0}, []
@@ -812,7 +826,31 @@ def _mutated_inputs(d, size, seed, mutations):
         (d / f"{n}_labels.pgm").write_bytes(b"\n".join(tokens[n]) + b"\n" + bodies[n])
     (d / "manifest.json").write_text(json.dumps(manifest))
     (d / "config.json").write_text(json.dumps(config))
+    (d / "p0").mkdir()
+    (d / "p0" / "field.raw").write_bytes(raws["field"])
+    (d / "p0" / "field.json").write_text(json.dumps(sidecars["field"]))
     return flags
+
+
+def _assert_exits_cleanly(root, argv):
+    """``cli_main(argv)`` in process: the exit code is 0, 1 or 2; on 1 or 2 stderr is
+    one ``error:`` or ``numerical error:`` line; ``root/in`` is unchanged and
+    nothing is written beside it but ``root/out``."""
+    d, out = root / "in", root / "out"
+    before = {p: p.read_bytes() for p in d.rglob("*") if p.is_file()}
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    assert {p: p.read_bytes() for p in d.rglob("*") if p.is_file()} == before
+    assert {p for p in root.iterdir()} <= {d, out}
+    lines = stderr.getvalue().splitlines()
+    assert code in (0, 1, 2), lines
+    assert "Traceback" not in stderr.getvalue()
+    if code:
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("numerical error:" if code == 2 else "error:"), lines
+    else:
+        assert not any(line.startswith(("error:", "numerical error:")) for line in lines)
 
 
 @settings(max_examples=150, deadline=None)
@@ -820,9 +858,8 @@ def _mutated_inputs(d, size, seed, mutations):
        iters=st.integers(1, 3), use_manifest=st.booleans(),
        mutations=st.lists(_MUTATIONS, min_size=1, max_size=3))
 def test_mutated_inputs_exit_cleanly(size, seed, iters, use_manifest, mutations):
-    """``cli_main`` in process on mutated inputs: the exit code is 0, 1 or 2; on 1
-    or 2 stderr is one ``error:`` or ``numerical error:`` line; nothing is written
-    outside ``--out``. A numpy ``RuntimeWarning`` is an error here, so it fails too."""
+    """``register`` on mutated inputs exits cleanly (:func:`_assert_exits_cleanly`).
+    A numpy ``RuntimeWarning`` is an error here, so it fails too."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         d, out = root / "in", root / "out"
@@ -832,19 +869,35 @@ def test_mutated_inputs_exit_cleanly(size, seed, iters, use_manifest, mutations)
                 ["--fixed", str(d / "fixed.raw"), "--moving", str(d / "moving.raw"),
                  "--fixed-labels", str(d / "fixed_labels.pgm"),
                  "--moving-labels", str(d / "moving_labels.pgm")])
-        before = {p: p.read_bytes() for p in d.rglob("*")}
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli_main(["register", *pair, "--config", str(d / "config.json"),
-                             "--levels", "1", "--max-iters", str(iters), *flags,
-                             "--out", str(out)])
-        assert {p: p.read_bytes() for p in d.rglob("*")} == before
-        assert {p for p in root.iterdir()} <= {d, out}
-        lines = stderr.getvalue().splitlines()
-        assert code in (0, 1, 2), lines
-        assert "Traceback" not in stderr.getvalue()
-        if code:
-            assert len(lines) == 1, lines
-            assert lines[0].startswith("numerical error:" if code == 2 else "error:"), lines
-        else:
-            assert not any(line.startswith(("error:", "numerical error:")) for line in lines)
+        _assert_exits_cleanly(root, ["register", *pair, "--config", str(d / "config.json"),
+                                     "--levels", "1", "--max-iters", str(iters), *flags,
+                                     "--out", str(out)])
+
+
+_DIFF_INPUTS = st.sampled_from(["fixed.raw", "moving.raw", "fixed_labels.pgm",
+                                "moving_labels.pgm"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.sampled_from([8, 12, 16]), seed=st.integers(0, 3),
+       command=st.sampled_from(["eval", "eval --manifest", "diff"]),
+       a=_DIFF_INPUTS, b=_DIFF_INPUTS, mutations=st.lists(_EVAL_MUTATIONS, min_size=1,
+                                                          max_size=3))
+def test_mutated_eval_and_diff_inputs_exit_cleanly(size, seed, command, a, b, mutations):
+    """As above for ``eval`` (one field and its label maps, or a manifest and a
+    fields directory) and for ``diff`` of two of the images and label maps."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        d, out = root / "in", root / "out"
+        d.mkdir()
+        out.mkdir()
+        _mutated_inputs(d, size, seed, mutations)
+        labels = ["--fixed-labels", str(d / "fixed_labels.pgm"),
+                  "--moving-labels", str(d / "moving_labels.pgm")]
+        argv = {"eval": ["eval", "--field", str(d / "p0" / "field.raw"), *labels,
+                         "--out", str(out / "e.json")],
+                "eval --manifest": ["eval", "--manifest", str(d / "manifest.json"),
+                                    "--fields-dir", str(d), "--out", str(out / "s.csv")],
+                "diff": ["diff", "--a", str(d / a), "--b", str(d / b),
+                         "--out", str(out / "d.pgm")]}[command]
+        _assert_exits_cleanly(root, argv)

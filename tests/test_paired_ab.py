@@ -16,7 +16,9 @@ TOOL = ROOT / "tools" / "paired_ab.py"
 def test_checkout_against_itself():
     """Two rounds of one pair each: every run gives the same digest, the report
     gives both sides' medians and a verdict for each measure, which cannot be a
-    gain from fewer than nine wins, and the exit code is 0."""
+    gain from fewer than nine wins, and the exit code is 0. Each level's line
+    shows every count on both sides and no difference, the totals show none
+    either, and each side's accepted share closes the report. No count is pinned."""
     proc = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload",
                            "weak64", "--rounds", "2", "--pairs", "1", "--seed", "3"],
                           capture_output=True, text=True, timeout=600)
@@ -32,7 +34,23 @@ def test_checkout_against_itself():
         verdicts = [line for line in lines if line.startswith(f"{name}: change lower in ")]
         assert len(verdicts) == 1
         assert verdicts[0].endswith("verdict unresolved")
-    assert lines[-1] == "outputs: identical"
+    assert "outputs: identical" in lines
+    levels = [line for line in lines if line.startswith("p00 level ")]
+    assert len(levels) == 3
+    for line in levels:
+        counts = re.findall(r"(evaluations|backward passes|iterations) (\d+) -> (\d+) \(\+0\)",
+                            line)
+        assert [name for name, _, _ in counts] == ["evaluations", "backward passes",
+                                                   "iterations"], line
+        assert all(int(p) == int(c) > 0 for _, p, c in counts), line
+        parent, change = re.search(r"termination (\w+) -> (\w+)$", line).groups()
+        assert parent == change
+    totals, shares = lines[-5:-2], lines[-2:]
+    assert [line.split(" ")[0] for line in totals] == ["evaluations", "backward", "iterations"]
+    assert all(line.endswith("(+0)") for line in totals)
+    assert [line.split(":")[0] for line in shares] == ["parent", "change"]
+    assert shares[0].split(": ")[1] == shares[1].split(": ")[1]
+    assert re.fullmatch(r"change: \d+ of \d+ trials accepted \(0\.\d{4}\)", shares[1])
 
 
 def load_tool():

@@ -1,6 +1,7 @@
 """Multi-level registration solver: convergence, determinism, ablation."""
 
 import gc
+import itertools
 import subprocess
 import sys
 import weakref
@@ -53,12 +54,13 @@ class TestIdentity:
     def test_equal_pair_stalls_with_zero_coefficients(self, labelled):
         """On an identical pair the gradient is exactly zero, so each accepted step
         repeats the start point: every level ends ``"stalled"`` after exactly
-        ``STALL_WINDOW`` iterations, with a constant loss and all coefficients 0."""
+        ``STALL_WINDOW`` iterations, each its first trial, with a constant loss and
+        all coefficients 0."""
         pair = small_pair(magnitude=0.0)
         labels = (pair.fixed_labels, pair.moving_labels) if labelled else (None, None)
         res = register(pair.fixed_image, pair.moving_image, *labels, FAST)
-        assert [(len(t.losses) - 1, t.termination) for t in res.level_traces] == \
-            [(solver.STALL_WINDOW, "stalled")] * FAST.num_levels
+        assert [(len(t.losses) - 1, t.evaluations, t.termination) for t in res.level_traces] \
+            == [(solver.STALL_WINDOW, solver.STALL_WINDOW + 1, "stalled")] * FAST.num_levels
         assert all(len(set(t.losses)) == 1 for t in res.level_traces)
         assert not res.grid.coeffs.any()
 
@@ -150,7 +152,8 @@ class TestOptimizerBehaviour:
 
     def test_no_coefficients_evaluated_twice_in_a_row(self, monkeypatch):
         """An accepted line-search trial is the next point: its forward pass is
-        reused, so no evaluation repeats the coefficients of the one before."""
+        reused, so no evaluation repeats the coefficients of the one before. Each
+        level's trace counts that level's evaluations."""
         seen = []
         original = solver.total_loss
 
@@ -166,6 +169,8 @@ class TestOptimizerBehaviour:
         assert accepted > 0
         assert not any(a.shape == b.shape and np.array_equal(a, b)
                        for a, b in zip(seen, seen[1:]))
+        per_level = [len(list(group)) for _, group in itertools.groupby(seen, key=np.shape)]
+        assert per_level == [t.evaluations for t in res.level_traces]
 
     def test_band_tables_built_once_per_stack_and_freed(self, monkeypatch):
         """Each level's moving stack builds its cell-label map once and each fixed
@@ -238,7 +243,8 @@ class TestOptimizerBehaviour:
         its last accepted point, whose weighted sums are its first and last losses
         (after a failed line search, not the rejected trial's). At epsilon 1e10 on
         a 0-255 pair NGF rounds to 0, every level stops at once and the run exits 0;
-        the report reads D = 0 at every level. At epsilon 0.1 it reads D > 0."""
+        the report reads D = 0 at every level, and each level evaluated its start and
+        every trial of its one failed line search. At epsilon 0.1 it reads D > 0."""
         pair = small_pair(seed=0, magnitude=2.0)
         fixed, moving = (Image2D(255.0 * img.data) for img in (pair.fixed_image,
                                                                 pair.moving_image))
@@ -254,6 +260,7 @@ class TestOptimizerBehaviour:
             if epsilon == 1e10:
                 assert level["termination"] == "line_search_failure"
                 assert level["end"] == level["start"]
+                assert level["evaluations"] == solver.MAX_BACKTRACKS + 2
 
     def test_report_dict_has_no_wall_clock(self):
         pair = small_pair(seed=0, magnitude=1.0)
@@ -301,24 +308,24 @@ class TestOptimizerBehaviour:
     def test_fixed_gradient_taken_once_per_level(self, monkeypatch):
         """The warped image's gradient is taken once per loss evaluation and each
         level's fixed image's once, as its cached property, so a 3-level labelled
-        run takes ``loss_evals + 3`` gradients (``2 * loss_evals`` when each
+        run takes ``evaluations + 3`` gradients (``2 * evaluations`` when each
         evaluation took both). The caller's finest fixed image keeps its gradient,
-        so a second run on the same pair takes ``loss_evals + 2``."""
-        calls = {"total_loss": 0, "central_gradient_raw": 0}
-        for module, name in ((solver, "total_loss"), (lossterms, "central_gradient_raw"),
-                             (image, "central_gradient_raw")):
-            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
-                calls[_name] += 1
+        so a second run on the same pair takes ``evaluations + 2``."""
+        calls = [0]
+        for module in (lossterms, image):
+            def counting(*args, _original=module.central_gradient_raw, **kwargs):
+                calls[0] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(module, "central_gradient_raw", counting)
         pair = small_pair(seed=2, magnitude=2.0)
         for taken_before in (3, 2):
-            calls.update(dict.fromkeys(calls, 0))
-            register(pair.fixed_image, pair.moving_image, pair.fixed_labels,
-                     pair.moving_labels, replace(FAST, max_iters_per_level=5))
-            assert FAST.num_levels == 3 and calls["total_loss"] > 3 * 5
-            assert calls["central_gradient_raw"] == calls["total_loss"] + taken_before
+            calls[0] = 0
+            res = register(pair.fixed_image, pair.moving_image, pair.fixed_labels,
+                           pair.moving_labels, replace(FAST, max_iters_per_level=5))
+            evaluations = sum(t.evaluations for t in res.level_traces)
+            assert FAST.num_levels == 3 and evaluations > 3 * 5
+            assert calls[0] == evaluations + taken_before
 
     def test_image_arrays_built_once_per_image_and_freed(self, monkeypatch):
         """Each level's fixed image takes its gradient once per ``register``; the
